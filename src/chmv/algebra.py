@@ -133,16 +133,32 @@ class Element:
         return "(" + ", ".join(str(v) for v in self.coords) + ")"
 
 
+def _trusted_element(A: ProductAlgebra, coords: tuple[Fraction, ...]) -> Element:
+    """Build an Element without re-running the membership checks of __post_init__.
+
+    Only for coordinates that lie in their chains by construction:
+    0 and 1 belong to every chain (zero, unit, characteristic); chains are
+    closed under the MV operations (pointwise_op); enumerate_elements and
+    sample_elements draw from each chain's own grid; apply_hom reads a
+    coordinate of a chain included in the target chain.  Input from outside
+    the package goes through Element or make_element, which validate.
+    """
+    e = object.__new__(Element)
+    object.__setattr__(e, "algebra", A)
+    object.__setattr__(e, "coords", coords)
+    return e
+
+
 def make_element(A: ProductAlgebra, coords: Iterable) -> Element:
     return Element(A, tuple(Fraction(v) for v in coords))
 
 
 def zero(A: ProductAlgebra) -> Element:
-    return Element(A, (_ZERO,) * len(A.factors))
+    return _trusted_element(A, (_ZERO,) * len(A.factors))
 
 
 def unit(A: ProductAlgebra) -> Element:
-    return Element(A, (_ONE,) * len(A.factors))
+    return _trusted_element(A, (_ONE,) * len(A.factors))
 
 
 def characteristic(A: ProductAlgebra, S: Iterable[str]) -> Element:
@@ -151,7 +167,7 @@ def characteristic(A: ProductAlgebra, S: Iterable[str]) -> Element:
     for lbl in S:
         if lbl not in A.positions:
             raise UnknownLabelError(f"no factor labelled {lbl!r}")
-    return Element(A, tuple(_ONE if lbl in S else _ZERO for lbl in A.labels))
+    return _trusted_element(A, tuple(_ONE if lbl in S else _ZERO for lbl in A.labels))
 
 
 def _same_algebra(f: Element, g: Element) -> None:
@@ -164,14 +180,14 @@ def pointwise_op(kind: str, f: Element, g: Element | None = None) -> Element:
     if kind == "neg":
         if g is not None:
             raise AlgebraError("neg takes a single operand")
-        return Element(f.algebra, tuple(frac_neg(v) for v in f.coords))
+        return _trusted_element(f.algebra, tuple(frac_neg(v) for v in f.coords))
     if kind not in FRAC_OPS:
         raise AlgebraError(f"unknown operation {kind!r}")
     if g is None:
         raise AlgebraError(f"{kind} needs two operands")
     _same_algebra(f, g)
     op = FRAC_OPS[kind]
-    return Element(f.algebra, tuple(op(a, b) for a, b in zip(f.coords, g.coords)))
+    return _trusted_element(f.algebra, tuple(op(a, b) for a, b in zip(f.coords, g.coords)))
 
 
 def leq_elem(f: Element, g: Element) -> bool:
@@ -195,7 +211,7 @@ def enumerate_elements(
         raise EnumerationError(f"algebra has {A.size} elements, bound is {bound}")
     ranges = [c.values() for _, c in A.factors]
     for coords in itertools.product(*ranges):
-        yield Element(A, coords)
+        yield _trusted_element(A, coords)
 
 
 @dataclass(frozen=True)

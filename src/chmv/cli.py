@@ -89,16 +89,16 @@ def cmd_homs(src: str, dst: str, mode: str = "count") -> CommandResult:
         return CommandResult(
             "error", None, ["source and target must both be algebras or both multisets"]
         )
+    if mode != "list":
+        count = ms.morphism_count if isinstance(a, ms.EMultiset) else dual.continuous_hom_count
+        return CommandResult("ok", {"count": count(a, b)})
     if isinstance(a, ms.EMultiset):
-        items = list(ms.enumerate_morphisms(a, b))
-        listing = [{"map": dict(m.mapping)} for m in items]
+        listing = [{"map": dict(m.mapping)} for m in ms.enumerate_morphisms(a, b)]
     else:
-        items = list(dual.enumerate_continuous_homs(a, b))
-        listing = [{"index_map": dict(h.index_map)} for h in items]
-    payload: dict = {"count": len(items)}
-    if mode == "list":
-        payload["homs"] = listing
-    return CommandResult("ok", payload)
+        listing = [
+            {"index_map": dict(h.index_map)} for h in dual.enumerate_continuous_homs(a, b)
+        ]
+    return CommandResult("ok", {"count": len(listing), "homs": listing})
 
 
 def _parse_element(text: str, A: alg.ProductAlgebra) -> alg.Element:

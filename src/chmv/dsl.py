@@ -202,37 +202,67 @@ class BinOp(Term):
 _BINARY_LEVELS = [("implies", "->"), ("join", "\\/"), ("meet", "/\\"),
                   ("oplus", "(+)"), ("odot", "(.)")]
 _SYMBOL_OF = dict(_BINARY_LEVELS)
+_LEVEL_OF = {symbol: (level, op) for level, (op, symbol) in enumerate(_BINARY_LEVELS)}
+
+# Parsing, render and eval_term recurse over a term; this bound keeps them
+# far below the interpreter's recursion limit (the parser uses at most three
+# frames per level).
+MAX_TERM_DEPTH = 100
 
 
 def parse_term(text: str) -> Term:
+    """Parse a term no deeper than MAX_TERM_DEPTH, else raise ParseError.
+
+    Depth counts negations, binary operators and parentheses along a path.
+    """
     cur = _Cursor(text)
-    term = _parse_level(cur, 0)
+    term = _parse_binary(cur, 0, 0)
     cur.done()
+    if _height(term) > MAX_TERM_DEPTH:
+        raise ParseError(f"term nests deeper than {MAX_TERM_DEPTH} levels", 0)
     return term
 
 
-def _parse_level(cur: _Cursor, level: int) -> Term:
-    if level == len(_BINARY_LEVELS):
-        return _parse_unary(cur)
-    op, symbol = _BINARY_LEVELS[level]
-    left = _parse_level(cur, level + 1)
-    while cur.peek() == symbol:
+def _height(t: Term) -> int:
+    """Nodes on the longest root-to-leaf path, counted without recursion."""
+    height, stack = 0, [(t, 1)]
+    while stack:
+        t, h = stack.pop()
+        height = max(height, h)
+        if isinstance(t, Neg):
+            stack.append((t.arg, h + 1))
+        elif isinstance(t, BinOp):
+            stack += [(t.left, h + 1), (t.right, h + 1)]
+    return height
+
+
+def _parse_binary(cur: _Cursor, min_level: int, depth: int) -> Term:
+    """Precedence climbing over the binaries at min_level or tighter, left-associative."""
+    if depth > MAX_TERM_DEPTH:
+        raise ParseError(f"term nests deeper than {MAX_TERM_DEPTH} levels", cur.here())
+    left = _parse_unary(cur, depth)
+    while (entry := _LEVEL_OF.get(cur.peek())) is not None and entry[0] >= min_level:
+        level, op = entry
         cur.next()
-        left = BinOp(op, left, _parse_level(cur, level + 1))
+        left = BinOp(op, left, _parse_binary(cur, level + 1, depth + 1))
     return left
 
 
-def _parse_unary(cur: _Cursor) -> Term:
-    if cur.peek() == "~":
+def _parse_unary(cur: _Cursor, depth: int) -> Term:
+    negations = 0
+    while cur.peek() == "~":
         cur.next()
-        return Neg(_parse_unary(cur))
-    return _parse_atom(cur)
+        negations += 1
+    term = _parse_atom(cur, depth + negations)
+    for _ in range(negations):
+        term = Neg(term)
+    return term
 
 
-def _parse_atom(cur: _Cursor) -> Term:
+def _parse_atom(cur: _Cursor, depth: int) -> Term:
     tok = cur.next()
     if tok.text == "(":
-        inner = _parse_level(cur, 0)
+        inner = _parse_binary(cur, 0, depth + 1)
         cur.expect(")")
         return inner
     if tok.text in ("0", "1"):

@@ -1,7 +1,8 @@
 """End-to-end acceptance gate: the ten verification suites at full scale.
 
 Each test runs one suite with its documented parameters and time budget,
-asserts every check passed, and prints a single PASS/FAIL line.
+asserts every check passed and the suite's check count at seed 0 (so a
+speed-up cannot come from checking less), and prints a single PASS/FAIL line.
 """
 
 import time
@@ -9,12 +10,13 @@ import time
 from chmv import verify
 
 
-def _run(suite_fn, budget_seconds, **kwargs):
+def _run(suite_fn, budget_seconds, checks, **kwargs):
     start = time.monotonic()
     result = suite_fn(**kwargs)
     elapsed = time.monotonic() - start
     print(f"{result.line()} [{elapsed:.1f}s]")
     assert result.ok, result.failures[:5]
+    assert result.checks == checks, f"{result.name} ran {result.checks} checks, expected {checks}"
     assert elapsed < budget_seconds, (
         f"{result.name} took {elapsed:.1f}s, budget {budget_seconds}s"
     )
@@ -22,42 +24,42 @@ def _run(suite_fn, budget_seconds, **kwargs):
 
 
 def test_01_mv_axioms_exhaustive_and_sampled():
-    r = _run(verify.suite_mv_axioms, 5, max_n=7, rational_pairs=1000, seed=0)
+    r = _run(verify.suite_mv_axioms, 5, 10311, max_n=7, rational_pairs=1000, seed=0)
     assert r.checks >= 1000
 
 
 def test_02_ideal_oracle_and_principality_report():
-    _run(verify.suite_ideals, 30, sizes=(2, 3, 4), max_factors=3, max_size=16)
+    _run(verify.suite_ideals, 30, 98, sizes=(2, 3, 4), max_factors=3, max_size=16)
 
 
 def test_03_hom_oracle_agreement():
-    _run(verify.suite_hom_oracle, 60, sizes=(2, 3, 4), max_factors=3, bound=10 ** 6)
+    _run(verify.suite_hom_oracle, 60, 134, sizes=(2, 3, 4), max_factors=3, bound=10 ** 6)
 
 
 def test_04_duality_counts_functor_laws_naturality():
-    _run(verify.suite_duality, 120, samples=100, seed=0)
+    _run(verify.suite_duality, 120, 67370, samples=100, seed=0)
 
 
 def test_05_unit_and_counit_isomorphisms():
-    _run(verify.suite_eta_epsilon, 30, samples=100, seed=0)
+    _run(verify.suite_eta_epsilon, 30, 420, samples=100, seed=0)
 
 
 def test_06_surjectivity_criterion():
-    _run(verify.suite_surjectivity, 30, sizes=(2, 3, 4, 6), max_factors=2, max_size=36)
+    _run(verify.suite_surjectivity, 30, 179, sizes=(2, 3, 4, 6), max_factors=2, max_size=36)
 
 
 def test_07_lifting_through_surjections():
-    _run(verify.suite_lifting, 60, instances=100, seed=0)
+    _run(verify.suite_lifting, 60, 191, instances=100, seed=0)
 
 
 def test_08_separation_of_boolean_elements():
-    _run(verify.suite_separation, 10, max_points=4)
+    _run(verify.suite_separation, 10, 346, max_points=4)
 
 
 def test_09_predicate_implications_over_profiles():
-    _run(verify.suite_predicates, 5)
+    _run(verify.suite_predicates, 5, 603)
 
 
 def test_10_dsl_round_trip_and_tautologies():
-    r = _run(verify.suite_dsl, 10, max_size=36)
+    r = _run(verify.suite_dsl, 10, 655, max_size=36)
     assert r.checks >= 50

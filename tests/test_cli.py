@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -72,6 +73,18 @@ def test_homs_algebras_with_listing(capsys):
     assert maps == {(("x1", "x1"),), (("x1", "x2"),)}
 
 
+def test_homs_count_uses_the_product_formula(capsys):
+    src = "{" + ",".join(f"{p}:1" for p in "abcdefgh") + "}"
+    dst = "{" + ",".join(f"{p}:1" for p in "pqrstuvw") + "}"
+    start = time.monotonic()
+    code, doc, _ = run_json(capsys, "homs", src, dst)
+    assert time.monotonic() - start < 2
+    assert code == EXIT_OK
+    assert doc["payload"] == {"count": 8 ** 8}
+    code, doc, _ = run_json(capsys, "homs", "L2*L2*L2", "L2*L2*L2*L2*L2*L2*L2*L2")
+    assert doc["payload"] == {"count": 3 ** 8}
+
+
 def test_homs_mixed_kinds_rejected(capsys):
     code, out, err = run(capsys, "homs", "{a:1}", "L2")
     assert code == EXIT_DOMAIN
@@ -102,6 +115,13 @@ def test_eval_two_variables(capsys):
 def test_eval_unbound_variable(capsys):
     code, out, err = run(capsys, "eval", "x (+) y", "--algebra", "L2", "--env", "x=(1)")
     assert code == EXIT_DOMAIN
+
+
+@pytest.mark.parametrize("term", ["~" * 5000 + "x", "(" * 3000 + "x" + ")" * 3000])
+def test_eval_too_deep_is_domain_error(capsys, term):
+    code, out, err = run(capsys, "eval", term, "--algebra", "L2", "--env", "x=(1)")
+    assert code == EXIT_DOMAIN
+    assert "deeper than" in err
 
 
 def test_file_input(capsys, tmp_path):

@@ -2,12 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chmv.algebra import enumerate_elements, make_algebra, make_element, unit
 from chmv.chain import ChainSize, LINF
 from chmv.dsl import (
     BinOp,
     Const,
+    MAX_TERM_DEPTH,
     Neg,
     ParseError,
     UnboundVariableError,
@@ -96,6 +98,49 @@ def test_parse_term_syntax_error():
     with pytest.raises(ParseError) as err:
         parse_term("x (+) ")
     assert err.value.position == len("x (+) ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "~" * 5000 + "x",
+        "(" * 3000 + "x" + ")" * 3000,
+        " (+) ".join(["x"] * 5000),
+        "x -> (" * 3000 + "x" + ")" * 3000,
+    ],
+)
+def test_parse_term_too_deep(text):
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_term(text)
+
+
+def test_parse_term_at_depth_limit():
+    t = parse_term("~" * (MAX_TERM_DEPTH - 1) + "x")
+    assert render(t).count("~") == MAX_TERM_DEPTH - 1
+    A = make_algebra([("x1", ChainSize(3))])
+    half = make_element(A, [Fraction(1, 2)])
+    assert eval_term(t, {"x": half}, A) == half
+    with pytest.raises(ParseError):
+        parse_term("~" * MAX_TERM_DEPTH + "x")
+    assert parse_term("(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH) == Var("x")
+
+
+terms = st.recursive(
+    st.one_of(st.sampled_from([Const(0), Const(1)]), st.sampled_from("xyz").map(Var)),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(
+            BinOp, st.sampled_from(["oplus", "odot", "meet", "join", "implies"]), sub, sub
+        ),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms)
+def test_parse_render_round_trip_property(t):
+    assert parse_term(render(t)) == t
 
 
 def test_eval_tautology():

@@ -27,6 +27,19 @@ def test_multiplicity_zero_rejected():
         make_multiset([("a", 0)])
 
 
+def test_bool_multiplicity_rejected():
+    for flag in (True, False):
+        with pytest.raises(MultisetError):
+            EMultiset((("a", flag),))
+
+
+def test_bool_cardinality_rejected():
+    with pytest.raises(MultisetError):
+        make_profile({1: True})
+    with pytest.raises(MultisetError):
+        make_profile({True: 2})
+
+
 def test_validate_morphism_divisor():
     X = make_multiset([("a", 4)])
     Y = make_multiset([("b", 2)])

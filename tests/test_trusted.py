@@ -1,0 +1,177 @@
+"""The unchecked constructors inside the package build only valid objects.
+
+Public constructors and parsers still reject invalid input; every element,
+hom and morphism the library derives from valid ones passes full validation
+when rebuilt through the public class.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chmv.algebra import (
+    AlgebraError,
+    Element,
+    FRAC_OPS,
+    characteristic,
+    enumerate_elements,
+    make_algebra,
+    make_element,
+    pointwise_op,
+    unit,
+    zero,
+)
+from chmv.chain import ChainError, ChainSize, LINF
+from chmv.dsl import ParseError, parse_algebra, parse_multiset, parse_term
+from chmv.duality import (
+    ContinuousHom,
+    F_mor,
+    H_mor,
+    HomError,
+    apply_hom,
+    compose_homs,
+    enumerate_continuous_homs,
+    epsilon,
+    eta,
+    identity_hom,
+    make_hom,
+    sample_elements,
+)
+from chmv.multiset import (
+    EMMorphism,
+    MorphismError,
+    compose_morphisms,
+    enumerate_morphisms,
+    identity_morphism,
+    make_multiset,
+    validate_morphism,
+    INF,
+)
+
+L3xLinf = make_algebra([("a", ChainSize(3)), ("b", LINF)])
+
+
+# --- the public boundary still validates ----------------------------------------
+
+@pytest.mark.parametrize(
+    "coords, error",
+    [
+        ((Fraction(1, 3), Fraction(0)), ChainError),  # off the L3 grid
+        ((Fraction(0), Fraction(3, 2)), ChainError),  # outside [0, 1]
+        ((Fraction(0),), AlgebraError),  # too few coordinates
+    ],
+)
+def test_element_and_make_element_reject(coords, error):
+    with pytest.raises(error):
+        Element(L3xLinf, coords)
+    with pytest.raises(error):
+        make_element(L3xLinf, coords)
+
+
+def test_continuous_hom_and_make_hom_reject():
+    L2 = make_algebra([("x", ChainSize(2))])
+    L3 = make_algebra([("y", ChainSize(3))])
+    for index_map in ((("x", "y"),), (("x", "nowhere"),), ()):
+        with pytest.raises(HomError):
+            ContinuousHom(L3, L2, index_map)
+    with pytest.raises(HomError):
+        make_hom(L3, L2, {"x": "y"})
+    with pytest.raises(HomError):
+        make_hom(L3, L2, {})
+
+
+def test_em_morphism_and_validate_morphism_reject():
+    X = make_multiset([("a", 3)])
+    Y = make_multiset([("b", 2)])
+    for mapping in ((("a", "b"),), (("a", "nowhere"),), ()):
+        with pytest.raises(MorphismError):
+            EMMorphism(X, Y, mapping)
+    with pytest.raises(MorphismError):
+        validate_morphism(X, Y, {"a": "b"})
+    with pytest.raises(MorphismError):
+        validate_morphism(X, Y, {"a": "b", "z": "b"})
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_algebra, "L1"),
+        (parse_algebra, "[a: L2, a: L3]"),
+        (parse_multiset, "{a:0}"),
+        (parse_multiset, "{a:2, a:3}"),
+        (parse_term, "x (+)"),
+    ],
+)
+def test_parsers_reject(parse, text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+# --- every derived object re-validates -------------------------------------------
+
+chains = st.sampled_from([ChainSize(2), ChainSize(3), ChainSize(4), ChainSize(5), LINF])
+algebras = st.lists(chains, min_size=0, max_size=3).map(
+    lambda cs: make_algebra((f"x{i + 1}", c) for i, c in enumerate(cs))
+)
+finite_algebras = st.lists(
+    st.sampled_from([ChainSize(2), ChainSize(3), ChainSize(4)]), min_size=0, max_size=3
+).map(lambda cs: make_algebra((f"x{i + 1}", c) for i, c in enumerate(cs)))
+mults = st.sampled_from([1, 2, 3, 4, 6, INF])
+multisets = st.lists(mults, min_size=0, max_size=3).map(
+    lambda ms: make_multiset((f"p{i + 1}", m) for i, m in enumerate(ms))
+)
+
+
+def revalidated_element(e):
+    return Element(e.algebra, e.coords) == e
+
+
+def revalidated_hom(h):
+    return ContinuousHom(h.source, h.target, h.index_map) == h
+
+
+def revalidated_morphism(phi):
+    return EMMorphism(phi.source, phi.target, phi.mapping) == phi
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras, algebras, st.integers(0, 2 ** 16))
+def test_elements_revalidate(A, B, seed):
+    samples = sample_elements(A, count=6, seed=seed)
+    built = [zero(A), unit(A), characteristic(A, A.labels[:1]), *samples]
+    for f, g in itertools.product(samples, repeat=2):
+        built.append(pointwise_op("neg", f))
+        built.extend(pointwise_op(kind, f, g) for kind in FRAC_OPS)
+    for h in itertools.islice(enumerate_continuous_homs(A, B), 20):
+        built.extend(apply_hom(h, f) for f in samples)
+    assert all(revalidated_element(e) for e in built)
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_algebras)
+def test_enumerated_elements_revalidate(A):
+    assert all(revalidated_element(e) for e in enumerate_elements(A))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras, algebras, algebras)
+def test_homs_revalidate(A, B, C):
+    first = list(itertools.islice(enumerate_continuous_homs(A, B), 20))
+    second = list(itertools.islice(enumerate_continuous_homs(B, C), 20))
+    built = [identity_hom(A), epsilon(A), *first, *second]
+    built += [compose_homs(g, h) for h in first for g in second]
+    assert all(revalidated_hom(h) for h in built)
+    assert all(revalidated_morphism(H_mor(h)) for h in built)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multisets, multisets, multisets)
+def test_morphisms_revalidate(X, Y, Z):
+    first = list(itertools.islice(enumerate_morphisms(X, Y), 20))
+    second = list(itertools.islice(enumerate_morphisms(Y, Z), 20))
+    built = [identity_morphism(X), eta(X), *first, *second]
+    built += [compose_morphisms(psi, phi) for phi in first for psi in second]
+    assert all(revalidated_morphism(phi) for phi in built)
+    assert all(revalidated_hom(F_mor(phi)) for phi in built)
