@@ -3,12 +3,14 @@
 Commands: classify (structural predicates of an algebra or multiset),
 dual (apply the appropriate functor), homs (hom-set enumeration or
 counting), eval (evaluate an MV term), selftest (run the verification
-suites).  Exit codes: 0 ok, 1 domain error, 2 internal invariant breach.
+suites).  Exit codes: 0 ok, 1 domain or usage error, 2 internal invariant
+breach.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -25,6 +27,8 @@ from . import verify
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INTERNAL = 2
+
+HOMS_LIST_LIMIT = 10 ** 4  # default --limit: largest hom set that list mode enumerates
 
 
 @dataclass
@@ -83,15 +87,22 @@ def cmd_dual(spec: str) -> CommandResult:
     return CommandResult("ok", {"dual": shape, "object": encoded})
 
 
-def cmd_homs(src: str, dst: str, mode: str = "count") -> CommandResult:
+def cmd_homs(
+    src: str, dst: str, mode: str = "count", limit: int = HOMS_LIST_LIMIT
+) -> CommandResult:
+    """Count the maps by the product formula, or list them when there are at most `limit`."""
     a, b = _parse_object(src), _parse_object(dst)
     if isinstance(a, ms.EMultiset) != isinstance(b, ms.EMultiset):
         return CommandResult(
             "error", None, ["source and target must both be algebras or both multisets"]
         )
+    count = ms.morphism_count if isinstance(a, ms.EMultiset) else dual.continuous_hom_count
+    total = count(a, b)
     if mode != "list":
-        count = ms.morphism_count if isinstance(a, ms.EMultiset) else dual.continuous_hom_count
-        return CommandResult("ok", {"count": count(a, b)})
+        return CommandResult("ok", {"count": total})
+    if total > limit:
+        message = f"{total} maps exceed --limit {limit}; count them with --mode count"
+        return CommandResult("error", None, [message])
     if isinstance(a, ms.EMultiset):
         listing = [{"map": dict(m.mapping)} for m in ms.enumerate_morphisms(a, b)]
     else:
@@ -174,8 +185,21 @@ def _emit(result: CommandResult, fmt: str) -> None:
         print(message, file=sys.stderr)
 
 
+class UsageError(ValueError):
+    """A command line the parser rejects; the text is the usage line and the message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print and exit 2; subparsers inherit it."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Built on first use, not at import, then shared: parsing never changes it."""
+    parser = _Parser(
         prog="chmv",
         description="Products of Lukasiewicz chains, their multiset duals, and structural checks.",
     )
@@ -192,6 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("src")
     p.add_argument("dst")
     p.add_argument("--mode", choices=("count", "list"), default="count")
+    p.add_argument(
+        "--limit",
+        type=int,
+        default=HOMS_LIST_LIMIT,
+        help="list mode fails (exit 1) above this many maps (default: %(default)s)",
+    )
 
     p = sub.add_parser("eval", help="evaluate an MV term over a product algebra")
     p.add_argument("term")
@@ -211,14 +241,22 @@ _DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_DOMAIN
+    except SystemExit as exc:  # --help printed the help text
+        return exc.code
     try:
         if args.command == "classify":
             result = cmd_classify(_read_arg(args.spec))
         elif args.command == "dual":
             result = cmd_dual(_read_arg(args.spec))
         elif args.command == "homs":
-            result = cmd_homs(_read_arg(args.src), _read_arg(args.dst), args.mode)
+            result = cmd_homs(
+                _read_arg(args.src), _read_arg(args.dst), args.mode, args.limit
+            )
         elif args.command == "eval":
             result = cmd_eval(
                 _read_arg(args.term), _read_arg(args.algebra), args.env

@@ -1,9 +1,13 @@
+import argparse
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chmv.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_OK, main
+from chmv.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_OK, build_parser, main
 
 
 def run(capsys, *argv):
@@ -73,16 +77,37 @@ def test_homs_algebras_with_listing(capsys):
     assert maps == {(("x1", "x1"),), (("x1", "x2"),)}
 
 
+EIGHT_POINTS = "{" + ",".join(f"{p}:1" for p in "abcdefgh") + "}"
+OTHER_EIGHT_POINTS = "{" + ",".join(f"{p}:1" for p in "pqrstuvw") + "}"
+
+
 def test_homs_count_uses_the_product_formula(capsys):
-    src = "{" + ",".join(f"{p}:1" for p in "abcdefgh") + "}"
-    dst = "{" + ",".join(f"{p}:1" for p in "pqrstuvw") + "}"
     start = time.monotonic()
-    code, doc, _ = run_json(capsys, "homs", src, dst)
+    code, doc, _ = run_json(capsys, "homs", EIGHT_POINTS, OTHER_EIGHT_POINTS)
     assert time.monotonic() - start < 2
     assert code == EXIT_OK
     assert doc["payload"] == {"count": 8 ** 8}
     code, doc, _ = run_json(capsys, "homs", "L2*L2*L2", "L2*L2*L2*L2*L2*L2*L2*L2")
     assert doc["payload"] == {"count": 3 ** 8}
+
+
+def test_homs_list_over_the_limit_fails_fast(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "homs", EIGHT_POINTS, OTHER_EIGHT_POINTS, "--mode", "list")
+    assert time.monotonic() - start < 2
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert "16777216 maps exceed --limit 10000" in err and "--mode count" in err
+
+
+def test_homs_list_limit_is_inclusive(capsys):
+    code, doc, _ = run_json(capsys, "homs", "L2*L2", "L2", "--mode", "list", "--limit", "2")
+    assert code == EXIT_OK
+    assert len(doc["payload"]["homs"]) == doc["payload"]["count"] == 2
+    code, doc, _ = run_json(capsys, "homs", "L2*L2*L2", "L2", "--mode", "list", "--limit", "2")
+    assert code == EXIT_DOMAIN
+    assert doc["status"] == "error" and doc["payload"] is None
+    assert doc["diagnostics"] == ["3 maps exceed --limit 2; count them with --mode count"]
 
 
 def test_homs_mixed_kinds_rejected(capsys):
@@ -171,3 +196,136 @@ def test_determinism(capsys):
     first = run_json(capsys, "selftest", "--scale", "small", "--seed", "3")
     second = run_json(capsys, "selftest", "--scale", "small", "--seed", "3")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["--format", "xml", "classify", "L2"], "argument --format: invalid choice: 'xml'"),
+        (["homs", "{a:1}"], "the following arguments are required: dst"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_usage_errors_exit_1_with_usage_on_stderr(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: chmv ")
+    assert error.startswith("chmv") and f": error: {message}" in error
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["homs", "-h"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out.startswith("usage: chmv") and err == ""
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    queries = [
+        ["classify", "L2 * Linf"],
+        ["--format", "json", "dual", "{a:1,b:3}"],
+        ["homs", "L2*L2", "L2", "--mode", "list"],
+        ["eval", "~x (+) x", "--algebra", "L3", "--env", "x=(1/2)"],
+        ["bogus"],
+    ]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        codes = [main(queries[i % len(queries)]) for i in range(50)]
+    build_parser.cache_clear()
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_DOMAIN] * 10
+    assert len(built) == 6  # chmv and its five subcommands
+    assert built[0] == "chmv"
+
+
+# --- properties at the CLI boundary -----------------------------------------
+
+def _call(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+REFERENCE_QUERY = ["--format", "json", "homs", "L2*L2", "L2", "--mode", "list"]
+REFERENCE_OUTPUT = """\
+{
+  "status": "ok",
+  "payload": {
+    "count": 2,
+    "homs": [
+      {
+        "index_map": {
+          "x1": "x1"
+        }
+      },
+      {
+        "index_map": {
+          "x1": "x2"
+        }
+      }
+    ]
+  },
+  "diagnostics": []
+}
+"""
+
+_algebras = st.sampled_from([
+    "L2", "L3", "L3 * Linf", "[a: L2, b: L4]", "[]", "L2*L2*L2", "L1", "L2 *", "[a: L2, a: L3]",
+])
+_multisets = st.sampled_from(["{}", "{a:1}", "{a:2, b:inf}", "{p:1,q:3,r:1}", "{a:0}", "{a:1", "{a:true}"])
+_objects = st.one_of(_algebras, _multisets)
+_terms = st.sampled_from([
+    "x", "~x (+) x", "x (.) y", "x /\\ ~y", "x \\/ y -> z", "0", "1", "((x))", "~~~x",
+    "(x", "x (+)", "x y", "",
+])
+_envs = st.sampled_from([
+    "", "x=(1/2)", "x=(1, 0); y=(0, 1)", "x=(1/3, 1/2)", "x=(1/0)", "x", "x=(a)", "x=()",
+    "y=(1);", "x=(2)", "x=(-1/2)",
+])
+_flags = st.sampled_from([
+    "--format", "json", "text", "xml", "--mode", "list", "count", "--limit", "0", "2", "-1",
+    "x", "--algebra", "--env", "-h", "--", "-",
+])
+_junk = st.text(
+    st.characters(codec="utf-8", exclude_categories=("Cs",)), max_size=8
+).filter(lambda t: not t.startswith("@") and t != "selftest")
+_tokens = st.one_of(_objects, _terms, _envs, _flags, _junk)
+_well_formed = st.one_of(
+    st.tuples(st.sampled_from(["classify", "dual"]), _objects).map(list),
+    st.builds(
+        lambda src, dst, mode, limit: ["homs", src, dst, "--mode", mode, "--limit", limit],
+        _objects, _objects, st.sampled_from(["count", "list"]),
+        st.sampled_from(["0", "2", "-1", "10000"]),
+    ),
+    st.builds(
+        lambda term, algebra, env: ["eval", term, "--algebra", algebra, "--env", env],
+        _terms, _algebras, _envs,
+    ),
+)
+_formats = st.sampled_from([[], ["--format", "json"], ["--format", "text"]])
+_argv = st.one_of(
+    st.builds(lambda fmt, cmd, extra: fmt + cmd + extra, _formats, _well_formed,
+              st.lists(_tokens, max_size=2)),
+    st.builds(lambda fmt, cmd, rest: fmt + [cmd] + rest, _formats,
+              st.sampled_from(["classify", "dual", "homs", "eval"]), st.lists(_tokens, max_size=6)),
+    st.lists(st.one_of(_flags, _junk), max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv)
+def test_cli_boundary_returns_0_or_1_and_keeps_no_state(argv):
+    code, _ = _call(argv)
+    assert code in (EXIT_OK, EXIT_DOMAIN)
+    assert _call(REFERENCE_QUERY) == (EXIT_OK, REFERENCE_OUTPUT)
