@@ -3,22 +3,17 @@ executable checks of the structural theory connecting them."""
 
 from .chain import (
     ChainError,
-    ChainMismatchError,
     ChainSize,
-    ChainValue,
     LINF,
     NotInChainError,
     OutOfRangeError,
     chain_subset,
-    make_chain_value,
     mv_op,
-    nat_mult,
 )
 from .algebra import (
     Element,
     ProductAlgebra,
     SupportIdeal,
-    archimedean_rank,
     boolean_center_contains,
     brute_force_homs,
     brute_force_ideals,
@@ -33,8 +28,6 @@ from .algebra import (
     pointwise_op,
     principal_ideal,
     prop21_report,
-    quotient_by_maximal,
-    split_fin_inf,
     unit,
     zero,
 )
@@ -42,7 +35,6 @@ from .multiset import (
     EMMorphism,
     EMultiset,
     INF,
-    OMEGA,
     Profile,
     compose_morphisms,
     enumerate_morphisms,

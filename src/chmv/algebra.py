@@ -15,13 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .chain import (
-    ChainSize,
-    ChainValue,
-    FRAC_OPS,
-    check_member,
-    frac_neg,
-)
+from .chain import ChainSize, FRAC_OPS, check_member, frac_neg
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -118,11 +112,11 @@ class Element:
         for (_, c), v in zip(self.algebra.factors, self.coords):
             check_member(v, c)
 
-    def coord(self, label: str) -> ChainValue:
+    def coord(self, label: str) -> Fraction:
         pos = self.algebra.positions.get(label)
         if pos is None:
             raise UnknownLabelError(f"no factor labelled {label!r}")
-        return ChainValue(self.algebra.chains[label], self.coords[pos])
+        return self.coords[pos]
 
     def support(self) -> frozenset[str]:
         return frozenset(
@@ -257,75 +251,42 @@ def maximal_ideals(A: ProductAlgebra) -> list[SupportIdeal]:
 
 @dataclass(frozen=True)
 class Prop21Report:
-    """Independent evaluations of the four principality conditions for a maximal ideal."""
+    """The paper's principal-maximal-ideal statement (Proposition 2.1) at one ideal.
+
+    For a maximal ideal M of a product of chains the proposition makes four
+    conditions equivalent: M is principal; M is the kernel of a projection;
+    M omits the direct-sum ideal; sup M lies in M and in the Boolean center.
+    A maximal support ideal frees all coordinates but one, so it is a
+    projection kernel and omits the direct sum by construction; the report
+    computes the other two, on the witness generator and on the supremum.
+    """
 
     principal: bool
-    projection_kernel: bool
-    omits_direct_sum: bool
     sup_in_center: bool
     generator: Element
     point: str
 
     @property
-    def all_agree(self) -> bool:
-        return self.principal == self.projection_kernel == self.omits_direct_sum == self.sup_in_center
-
-    @property
     def all_hold(self) -> bool:
-        return self.all_agree and self.principal
+        return self.principal and self.sup_in_center
 
 
 def prop21_report(M: SupportIdeal) -> Prop21Report:
-    """Evaluate the four equivalent principality conditions on a maximal ideal."""
+    """Evaluate the principality conditions on a maximal ideal."""
     A = M.algebra
     missing = [x for x in A.labels if x not in M.free]
     if len(missing) != 1:
         raise NotMaximalError(
             f"ideal frees {len(M.free)} of {len(A.labels)} coordinates; not maximal"
         )
-    point = missing[0]
     gen = characteristic(A, M.free)
-    # (1) the witness generator generates exactly M
-    principal = principal_ideal(gen) == M and ideal_membership(gen, M)
-    # (2) M is the kernel of exactly one projection
-    projection_kernel = sum(1 for x in A.labels if M.free == frozenset(set(A.labels) - {x})) == 1
-    # (3) the direct-sum ideal (all of A at finite index, i.e. I_X) is not inside M
-    omits_direct_sum = not set(A.labels) <= M.free
-    # (4) the sup of M lies in M and in the Boolean center
     sup = ideal_sup(M)
-    sup_in_center = ideal_membership(sup, M) and boolean_center_contains(sup)
     return Prop21Report(
-        principal=principal,
-        projection_kernel=projection_kernel,
-        omits_direct_sum=omits_direct_sum,
-        sup_in_center=sup_in_center,
+        principal=principal_ideal(gen) == M and ideal_membership(gen, M),
+        sup_in_center=ideal_membership(sup, M) and boolean_center_contains(sup),
         generator=gen,
-        point=point,
+        point=missing[0],
     )
-
-
-def quotient_by_maximal(A: ProductAlgebra, x: str) -> ChainSize:
-    """The simple quotient at a projection kernel is the factor chain itself."""
-    return A.chain(x)
-
-
-def split_fin_inf(A: ProductAlgebra) -> tuple[ProductAlgebra, ProductAlgebra]:
-    """Partition the factors into the finite-chain part and the interval part."""
-    fin = tuple((lbl, c) for lbl, c in A.factors if c.is_finite)
-    inf = tuple((lbl, c) for lbl, c in A.factors if not c.is_finite)
-    return ProductAlgebra(fin), ProductAlgebra(inf)
-
-
-def archimedean_rank(a: Element) -> int:
-    """Least n >= 1 with the n-fold and (n+1)-fold truncated sums of a equal.
-
-    Coordinatewise the rank is 1 at zero and ceil(1/v) otherwise.
-    """
-    rank = 1
-    for v in a.coords:
-        if v != _ZERO:
-            rank = max(rank, -(-v.denominator // v.numerator))
-    return rank
 
 
 # --- brute-force oracles -------------------------------------------------

@@ -2,7 +2,8 @@
 
 A chain is either the finite subalgebra L_n = {0, 1/(n-1), ..., 1} of the
 unit interval (n >= 2) or the full rational unit interval, written Linf.
-All values are Fractions in lowest terms, so equality is structural.
+Chain elements are plain Fractions (always in lowest terms, so equality is
+structural); check_member says whether a Fraction lies in a given chain.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ class OutOfRangeError(ChainError):
 
 class NotInChainError(ChainError):
     """Value in [0,1] but not on the grid of a finite chain."""
-
-
-class ChainMismatchError(ChainError):
-    """Binary operation applied to values from different chains."""
 
 
 @dataclass(frozen=True)
@@ -65,26 +62,7 @@ def check_member(v: Fraction, c: ChainSize) -> None:
         raise NotInChainError(f"{v} is not a multiple of 1/{c.n - 1}")
 
 
-@dataclass(frozen=True)
-class ChainValue:
-    """An exact rational element of a chain."""
-
-    chain: ChainSize
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        check_member(self.value, self.chain)
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-def make_chain_value(v, c: ChainSize) -> ChainValue:
-    """Build a chain value, normalizing to lowest terms."""
-    return ChainValue(c, Fraction(v))
-
-
-# Fraction-level operations, shared with the pointwise algebra code.
+# The MV operations on Fractions, shared by every chain and the pointwise algebra code.
 
 def frac_oplus(a: Fraction, b: Fraction) -> Fraction:
     return min(a + b, _ONE)
@@ -105,32 +83,22 @@ FRAC_OPS = {
     "join": max,
 }
 
-MV_OP_KINDS = ("oplus", "neg", "odot", "meet", "join")
 
+def mv_op(kind: str, a: Fraction, b: Fraction | None = None) -> Fraction:
+    """Apply one of the five MV operations.
 
-def mv_op(kind: str, a: ChainValue, b: ChainValue | None = None) -> ChainValue:
-    """Apply one of the five MV operations inside a single chain.
-
-    Chains are closed under all five, so the result lives in a.chain.
+    Every chain is closed under all five, so the result lies in each chain
+    that holds the operands.
     """
     if kind == "neg":
         if b is not None:
             raise ChainError("neg takes a single operand")
-        return ChainValue(a.chain, frac_neg(a.value))
+        return frac_neg(a)
     if kind not in FRAC_OPS:
         raise ChainError(f"unknown operation {kind!r}")
     if b is None:
         raise ChainError(f"{kind} needs two operands")
-    if a.chain != b.chain:
-        raise ChainMismatchError(f"operands live in {a.chain} and {b.chain}")
-    return ChainValue(a.chain, FRAC_OPS[kind](a.value, b.value))
-
-
-def nat_mult(n: int, a: ChainValue) -> ChainValue:
-    """n-fold truncated sum: min(n * a, 1)."""
-    if n < 1:
-        raise ChainError(f"multiplier must be >= 1, got {n}")
-    return ChainValue(a.chain, min(n * a.value, _ONE))
+    return FRAC_OPS[kind](a, b)
 
 
 def chain_subset(c1: ChainSize, c2: ChainSize) -> bool:

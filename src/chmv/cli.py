@@ -55,6 +55,10 @@ def _parse_object(text: str):
     return dsl.parse_algebra(text)
 
 
+def _inf_str(m: ms.Mult) -> str:
+    return "inf" if m == ms.INF else str(m)
+
+
 def _profile_of_input(obj) -> ms.Profile:
     if isinstance(obj, ms.EMultiset):
         return ms.profile_of(obj)
@@ -70,7 +74,9 @@ def cmd_classify(spec: str) -> CommandResult:
         "extremally_disconnected": st.is_extremally_disconnected(profile),
         "urysohn_strauss": st.urysohn_strauss_holds(profile),
     }
-    report["profile"] = ms.profile_to_json(profile)
+    report["profile"] = {
+        "entries": [{"mult": _inf_str(m), "card": str(c)} for m, c in profile.entries]
+    }
     return CommandResult("ok", report)
 
 
@@ -79,11 +85,11 @@ def cmd_dual(spec: str) -> CommandResult:
     if isinstance(obj, ms.EMultiset):
         out = dual.F_obj(obj)
         shape = " * ".join(str(c) for _, c in out.factors) if out.factors else "[]"
-        encoded: object = dual.algebra_to_json(out)
+        encoded: object = {"factors": [{"label": lbl, "chain": str(c)} for lbl, c in out.factors]}
     else:
         out = dual.H_obj(obj)
         shape = dsl.render(out)
-        encoded = ms.multiset_to_json(out)
+        encoded = {"points": [{"label": lbl, "mult": _inf_str(m)} for lbl, m in out.points]}
     return CommandResult("ok", {"dual": shape, "object": encoded})
 
 
@@ -131,7 +137,9 @@ def cmd_eval(term_text: str, algebra_text: str, env_text: str) -> CommandResult:
                 return CommandResult("error", None, [f"bad binding {binding!r}"])
             env[name.strip()] = _parse_element(value, A)
     result = dsl.eval_term(term, env, A)
-    return CommandResult("ok", dual.element_to_json(result))
+    return CommandResult(
+        "ok", {"coords": {lbl: str(v) for lbl, v in zip(A.labels, result.coords)}}
+    )
 
 
 def cmd_selftest(
@@ -243,6 +251,8 @@ _DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OSError)
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if [] in vars(args).values():  # argparse reads the operands "--" "--" as []
+            build_parser().error("expected one argument after '--'")
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_DOMAIN

@@ -203,6 +203,7 @@ _BINARY_LEVELS = [("implies", "->"), ("join", "\\/"), ("meet", "/\\"),
                   ("oplus", "(+)"), ("odot", "(.)")]
 _SYMBOL_OF = dict(_BINARY_LEVELS)
 _LEVEL_OF = {symbol: (level, op) for level, (op, symbol) in enumerate(_BINARY_LEVELS)}
+_PREC = {op: level for level, (op, _) in enumerate(_BINARY_LEVELS)}
 
 # Parsing, render and eval_term recurse over a term; this bound keeps them
 # far below the interpreter's recursion limit (the parser uses at most three
@@ -321,16 +322,13 @@ def _render_multiset(X: EMultiset) -> str:
     return "{" + body + "}"
 
 
-_PREC = {"implies": 0, "join": 1, "meet": 2, "oplus": 3, "odot": 4}
-
-
 def _render_term(t: Term, parent: int = -1, right_side: bool = False) -> str:
     if isinstance(t, Const):
         return str(t.value)
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Neg):
-        return f"~{_render_term(t.arg, parent=5)}"
+        return f"~{_render_term(t.arg, parent=len(_BINARY_LEVELS))}"
     if isinstance(t, BinOp):
         prec = _PREC[t.op]
         text = (

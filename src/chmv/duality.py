@@ -11,6 +11,7 @@ naturality squares are checked executably.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +19,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Mapping
 
 from .algebra import (
+    DEFAULT_ENUM_BOUND,
     AlgebraMismatchError,
     AlgebraError,
     Element,
@@ -126,23 +128,22 @@ def compose_homs(g: ContinuousHom, h: ContinuousHom) -> ContinuousHom:
     )
 
 
+def _source_choices(A: ProductAlgebra, B: ProductAlgebra) -> list[list[str]]:
+    """For each coordinate of B, the coordinates of A whose chain it includes."""
+    return [[x for x in A.labels if chain_subset(A.chain(x), B.chain(y))] for y in B.labels]
+
+
 def enumerate_continuous_homs(
     A: ProductAlgebra, B: ProductAlgebra
 ) -> Iterator[ContinuousHom]:
     """All continuous homs A -> B: every admissible index map, each once."""
-    choices = [
-        [x for x in A.labels if chain_subset(A.chain(x), B.chain(y))]
-        for y in B.labels
-    ]
-    for sources in itertools.product(*choices):
+    for sources in itertools.product(*_source_choices(A, B)):
         yield _trusted_hom(A, B, tuple(zip(B.labels, sources)))
 
 
 def continuous_hom_count(A: ProductAlgebra, B: ProductAlgebra) -> int:
-    total = 1
-    for y in B.labels:
-        total *= sum(1 for x in A.labels if chain_subset(A.chain(x), B.chain(y)))
-    return total
+    """Product of per-coordinate admissible-source counts."""
+    return math.prod(map(len, _source_choices(A, B)))
 
 
 def element_map(h: ContinuousHom) -> dict[Element, Element]:
@@ -205,10 +206,7 @@ def _raw_elements(A: ProductAlgebra) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def sample_elements(
-    A: ProductAlgebra,
-    count: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    max_denominator: int = SAMPLE_MAX_DENOMINATOR,
+    A: ProductAlgebra, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> list[Element]:
     """Deterministic rational samples; infinite factors draw small denominators."""
     rng = random.Random(seed)
@@ -219,22 +217,19 @@ def sample_elements(
             if c.is_finite:
                 coords.append(Fraction(rng.randrange(c.n), c.n - 1))
             else:
-                q = rng.randint(1, max_denominator)
+                q = rng.randint(1, SAMPLE_MAX_DENOMINATOR)
                 coords.append(Fraction(rng.randint(0, q), q))
         out.append(_trusted_element(A, tuple(coords)))
     return out
 
 
 def check_naturality_eq2(
-    psi: ContinuousHom,
-    bound: int = 10 ** 6,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
+    psi: ContinuousHom, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> bool:
     """Does F(H(psi)) after the counit equal the counit after psi, on elements?
 
-    Checked exhaustively over the source when it is all-finite within the
-    bound, otherwise on seeded rational samples.
+    Checked exhaustively over the source when it is all-finite within
+    DEFAULT_ENUM_BOUND elements, otherwise on seeded rational samples.
     """
     B, A = psi.source, psi.target
     lhs = compose_homs(F_mor(H_mor(psi)), epsilon(B))
@@ -243,32 +238,9 @@ def check_naturality_eq2(
         return False
     p1, p2 = lhs.source_positions, rhs.source_positions
     diff = [(i, j) for i, j in zip(p1, p2) if i != j]
-    if B.all_finite and B.size <= bound:
+    if B.all_finite and B.size <= DEFAULT_ENUM_BOUND:
         elems: Iterator[tuple[Fraction, ...]] = iter(_raw_elements(B))
     else:
         elems = (e.coords for e in sample_elements(B, samples, seed))
     return all(all(f[i] == f[j] for i, j in diff) for f in elems)
 
-
-# --- JSON encodings ---------------------------------------------------------
-
-def algebra_to_json(A: ProductAlgebra) -> dict:
-    return {"factors": [{"label": lbl, "chain": str(c)} for lbl, c in A.factors]}
-
-
-def element_to_json(f: Element) -> dict:
-    return {
-        "coords": {lbl: str(v) for lbl, v in zip(f.algebra.labels, f.coords)}
-    }
-
-
-def ideal_to_json(I) -> dict:
-    return {"free": sorted(I.free)}
-
-
-def hom_to_json(h: ContinuousHom) -> dict:
-    return {
-        "source": algebra_to_json(h.source),
-        "target": algebra_to_json(h.target),
-        "index_map": {y: x for y, x in h.index_map},
-    }

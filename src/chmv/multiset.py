@@ -11,13 +11,13 @@ invariant classifying product algebras up to isomorphism.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 INF = float("inf")
-OMEGA = float("inf")
 
 Mult = int | float  # positive int, or INF
 
@@ -148,27 +148,25 @@ def compose_morphisms(psi: EMMorphism, phi: EMMorphism) -> EMMorphism:
     )
 
 
+def _image_choices(X: EMultiset, Y: EMultiset) -> list[list[str]]:
+    """For each point of X, the points of Y it may map to."""
+    return [[y for y in Y.labels if mult_divides(Y.mults[y], X.mults[x])] for x in X.labels]
+
+
 def enumerate_morphisms(X: EMultiset, Y: EMultiset) -> Iterator[EMMorphism]:
     """All morphisms X -> Y, one choice of admissible image per point."""
-    choices = [
-        [y for y in Y.labels if mult_divides(Y.mults[y], X.mults[x])]
-        for x in X.labels
-    ]
-    for images in itertools.product(*choices):
+    for images in itertools.product(*_image_choices(X, Y)):
         yield _trusted_morphism(X, Y, tuple(zip(X.labels, images)))
 
 
 def morphism_count(X: EMultiset, Y: EMultiset) -> int:
     """Product of per-point admissible-image counts."""
-    total = 1
-    for x in X.labels:
-        total *= sum(1 for y in Y.labels if mult_divides(Y.mults[y], X.mults[x]))
-    return total
+    return math.prod(map(len, _image_choices(X, Y)))
 
 
 @dataclass(frozen=True)
 class Profile:
-    """Fiber summary of a multiset: multiplicity -> cardinality (or omega).
+    """Fiber summary of a multiset: multiplicity -> cardinality (INF for an infinite fiber).
 
     Equality of profiles is isomorphism of the underlying multisets, i.e.
     existence of a multiplicity-preserving bijection.
@@ -205,22 +203,3 @@ def profile_of(X: EMultiset) -> Profile:
 def is_isomorphic(P: Profile, Q: Profile) -> bool:
     return P.table == Q.table
 
-
-# --- JSON encodings -------------------------------------------------------
-
-def _mult_str(m: Mult) -> str:
-    return "inf" if m == INF else str(m)
-
-
-def _card_str(c: Mult) -> str:
-    return "omega" if c == OMEGA else str(c)
-
-
-def multiset_to_json(X: EMultiset) -> dict:
-    return {"points": [{"label": lbl, "mult": _mult_str(m)} for lbl, m in X.points]}
-
-
-def profile_to_json(P: Profile) -> dict:
-    return {
-        "entries": [{"mult": _mult_str(m), "card": _card_str(c)} for m, c in P.entries]
-    }

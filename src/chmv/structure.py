@@ -14,7 +14,7 @@ from fractions import Fraction
 from .algebra import Element, ProductAlgebra, leq_elem
 from .chain import ChainSize
 from .duality import ContinuousHom, HomError, projection
-from .multiset import EMultiset, INF, OMEGA, Profile
+from .multiset import EMultiset, INF, Profile
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -27,7 +27,7 @@ class StructureError(ValueError):
 def is_hyperarchimedean(P: Profile) -> bool:
     """Finitely many interval factors; the finite-multiplicity fibers of a
     representable profile are always finitely many."""
-    return P.cardinality(INF) != OMEGA
+    return P.cardinality(INF) != INF
 
 
 def is_stone(P: Profile) -> bool:
@@ -37,7 +37,7 @@ def is_stone(P: Profile) -> bool:
 
 def is_extremally_disconnected(P: Profile) -> bool:
     """The whole algebra is finite: finite multiplicities, finite fibers."""
-    return all(m != INF and c != OMEGA for m, c in P.entries)
+    return all(m != INF and c != INF for m, c in P.entries)
 
 
 def urysohn_strauss_holds(P: Profile) -> bool:

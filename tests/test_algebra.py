@@ -10,7 +10,6 @@ from chmv.algebra import (
     NotMaximalError,
     SupportIdeal,
     UnknownLabelError,
-    archimedean_rank,
     boolean_center_contains,
     brute_force_homs,
     brute_force_ideals,
@@ -26,12 +25,10 @@ from chmv.algebra import (
     pointwise_op,
     principal_ideal,
     prop21_report,
-    quotient_by_maximal,
-    split_fin_inf,
     unit,
     zero,
 )
-from chmv.chain import ChainError, ChainSize, LINF, nat_mult, make_chain_value
+from chmv.chain import ChainError, ChainSize, LINF
 
 
 L2xL3 = make_algebra([("a", ChainSize(2)), ("b", ChainSize(3))])
@@ -41,6 +38,17 @@ L3xL2 = make_algebra([("a", ChainSize(3)), ("b", ChainSize(2))])
 def test_make_algebra():
     assert L2xL3.labels == ("a", "b")
     assert make_algebra([]).size == 1
+    assert L2xL3.chain("b") == ChainSize(3)
+    assert make_algebra([("x", LINF)]).chain("x") == LINF
+    with pytest.raises(UnknownLabelError):
+        L2xL3.chain("z")
+
+
+def test_coord_is_the_fraction_at_a_label():
+    f = make_element(L3xL2, [Fraction(1, 2), 1])
+    assert f.coord("a") == Fraction(1, 2) and f.coord("b") == 1
+    with pytest.raises(UnknownLabelError):
+        f.coord("z")
 
 
 def test_make_algebra_duplicate_label():
@@ -114,10 +122,7 @@ def test_principal_ideal_matches_enumeration():
         f
         for f in enumerate_elements(L3xL2)
         if any(
-            all(
-                v <= nat_mult(n, make_chain_value(av, c)).value
-                for v, av, (_, c) in zip(f.coords, a.coords, L3xL2.factors)
-            )
+            all(v <= min(n * av, 1) for v, av in zip(f.coords, a.coords))
             for n in range(1, 7)
         )
     }
@@ -168,48 +173,6 @@ def test_prop21_on_simple_chain():
 def test_prop21_requires_maximal():
     with pytest.raises(NotMaximalError):
         prop21_report(SupportIdeal(L2xL3, frozenset()))
-
-
-def test_quotient_by_maximal():
-    A = make_algebra([("a", ChainSize(4)), ("b", ChainSize(2))])
-    assert quotient_by_maximal(A, "a") == ChainSize(4)
-    assert quotient_by_maximal(make_algebra([("x", LINF)]), "x") == LINF
-    with pytest.raises(UnknownLabelError):
-        quotient_by_maximal(A, "z")
-
-
-def test_split_fin_inf():
-    A = make_algebra([("a", ChainSize(2)), ("b", LINF), ("c", ChainSize(3))])
-    fin, inf = split_fin_inf(A)
-    assert fin.factors == (("a", ChainSize(2)), ("c", ChainSize(3)))
-    assert inf.factors == (("b", LINF),)
-    fin2, inf2 = split_fin_inf(L2xL3)
-    assert fin2 == L2xL3 and inf2.factors == ()
-
-
-def test_archimedean_rank():
-    assert archimedean_rank(zero(L2xL3)) == 1
-    L4 = make_algebra([("x", ChainSize(4))])
-    third = make_element(L4, [Fraction(1, 3)])
-    # brute force the least stabilizing multiplier
-    expected = next(
-        n
-        for n in range(1, 10)
-        if min(n * Fraction(1, 3), Fraction(1)) == min((n + 1) * Fraction(1, 3), Fraction(1))
-    )
-    assert archimedean_rank(third) == expected == 3
-    L3xL5 = make_algebra([("a", ChainSize(3)), ("b", ChainSize(5))])
-    mixed = make_element(L3xL5, [Fraction(1, 2), Fraction(1, 4)])
-    assert archimedean_rank(mixed) == 4
-
-
-def test_archimedean_rank_stabilizes():
-    L3xL5 = make_algebra([("a", ChainSize(3)), ("b", ChainSize(5))])
-    for e in enumerate_elements(L3xL5):
-        n = archimedean_rank(e)
-        base = tuple(min(n * v, Fraction(1)) for v in e.coords)
-        for m in range(n, n + 4):
-            assert tuple(min(m * v, Fraction(1)) for v in e.coords) == base
 
 
 def test_brute_force_ideals_counts():

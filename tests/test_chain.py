@@ -5,39 +5,36 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chmv.chain import (
-    ChainMismatchError,
     ChainSize,
-    ChainValue,
     ChainError,
     LINF,
     NotInChainError,
     OutOfRangeError,
     chain_subset,
-    make_chain_value,
+    check_member,
     mv_op,
-    nat_mult,
 )
 
 
-def test_make_chain_value_on_grid():
-    v = make_chain_value(Fraction(1, 2), ChainSize(3))
-    assert v == ChainValue(ChainSize(3), Fraction(1, 2))
+def test_check_member_accepts_chain_elements():
+    check_member(Fraction(1, 2), ChainSize(3))
+    check_member(Fraction(2, 4), ChainSize(3))
+    check_member(Fraction(5, 7), LINF)
+    for n in range(2, 8):
+        for v in ChainSize(n).values():
+            check_member(v, ChainSize(n))
 
 
-def test_make_chain_value_off_grid():
+def test_check_member_off_grid():
     with pytest.raises(NotInChainError):
-        make_chain_value(Fraction(1, 3), ChainSize(3))
+        check_member(Fraction(1, 3), ChainSize(3))
 
 
-def test_make_chain_value_interval():
-    assert make_chain_value(Fraction(5, 7), LINF).value == Fraction(5, 7)
-
-
-def test_make_chain_value_out_of_range():
+def test_check_member_out_of_range():
     with pytest.raises(OutOfRangeError):
-        make_chain_value(Fraction(3, 2), LINF)
+        check_member(Fraction(3, 2), LINF)
     with pytest.raises(OutOfRangeError):
-        make_chain_value(Fraction(-1, 2), ChainSize(2))
+        check_member(Fraction(-1, 2), ChainSize(2))
 
 
 def test_chain_size_requires_two_elements():
@@ -45,38 +42,29 @@ def test_chain_size_requires_two_elements():
         ChainSize(1)
 
 
-def test_normalization_to_lowest_terms():
-    assert make_chain_value(Fraction(2, 4), ChainSize(3)).value == Fraction(1, 2)
-
-
 def test_oplus_truncates():
-    half = make_chain_value(Fraction(1, 2), ChainSize(3))
-    assert mv_op("oplus", half, half).value == 1
+    half = Fraction(1, 2)
+    assert mv_op("oplus", half, half) == 1
 
 
 def test_neg():
-    v = make_chain_value(Fraction(1, 4), ChainSize(5))
-    assert mv_op("neg", v).value == Fraction(3, 4)
+    assert mv_op("neg", Fraction(1, 4)) == Fraction(3, 4)
 
 
 def test_odot():
-    v = make_chain_value(Fraction(2, 3), ChainSize(4))
-    assert mv_op("odot", v, v).value == Fraction(1, 3)
+    v = Fraction(2, 3)
+    assert mv_op("odot", v, v) == Fraction(1, 3)
 
 
-def test_chain_mismatch_rejected():
-    a = make_chain_value(Fraction(1, 2), ChainSize(3))
-    b = make_chain_value(Fraction(1, 2), LINF)
-    with pytest.raises(ChainMismatchError):
-        mv_op("oplus", a, b)
-
-
-def test_nat_mult():
-    third = make_chain_value(Fraction(1, 3), ChainSize(4))
-    assert nat_mult(3, third).value == 1
-    assert nat_mult(1, third) == third
-    fifth = make_chain_value(Fraction(1, 5), LINF)
-    assert nat_mult(2, fifth).value == Fraction(2, 5)
+def test_mv_op_rejects_unknown_kind_and_wrong_arity():
+    half = Fraction(1, 2)
+    with pytest.raises(ChainError, match="unknown operation"):
+        mv_op("times", half, half)
+    with pytest.raises(ChainError, match="single operand"):
+        mv_op("neg", half, half)
+    for kind in ("oplus", "odot", "meet", "join"):
+        with pytest.raises(ChainError, match="two operands"):
+            mv_op(kind, half)
 
 
 @pytest.mark.parametrize(
@@ -97,8 +85,7 @@ def test_chain_subset(c1, c2, expected):
 def test_finite_chains_exhaustive_mv_axiom():
     for n in range(2, 8):
         c = ChainSize(n)
-        for va, vb in itertools.product(c.values(), repeat=2):
-            a, b = ChainValue(c, va), ChainValue(c, vb)
+        for a, b in itertools.product(c.values(), repeat=2):
             lhs = mv_op("oplus", mv_op("neg", mv_op("oplus", mv_op("neg", a), b)), b)
             rhs = mv_op("oplus", mv_op("neg", mv_op("oplus", mv_op("neg", b), a)), a)
             assert lhs == rhs
@@ -108,34 +95,31 @@ unit_rationals = st.fractions(min_value=0, max_value=1, max_denominator=50)
 
 
 @given(unit_rationals, unit_rationals)
-def test_interval_mv_axiom(x, y):
-    a, b = ChainValue(LINF, x), ChainValue(LINF, y)
+def test_interval_mv_axiom(a, b):
     lhs = mv_op("oplus", mv_op("neg", mv_op("oplus", mv_op("neg", a), b)), b)
     rhs = mv_op("oplus", mv_op("neg", mv_op("oplus", mv_op("neg", b), a)), a)
     assert lhs == rhs
 
 
 @given(unit_rationals, unit_rationals)
-def test_interval_basic_laws(x, y):
-    a, b = ChainValue(LINF, x), ChainValue(LINF, y)
+def test_interval_basic_laws(a, b):
     assert mv_op("oplus", a, b) == mv_op("oplus", b, a)
     assert mv_op("neg", mv_op("neg", a)) == a
-    assert mv_op("oplus", a, ChainValue(LINF, Fraction(0))) == a
-    assert mv_op("oplus", a, ChainValue(LINF, Fraction(1))).value == 1
+    assert mv_op("oplus", a, Fraction(0)) == a
+    assert mv_op("oplus", a, Fraction(1)) == 1
+    for kind in ("oplus", "neg", "odot", "meet", "join"):
+        r = mv_op(kind, a) if kind == "neg" else mv_op(kind, a, b)
+        check_member(r, LINF)
 
 
 def test_closure_under_operations():
     c = ChainSize(5)
-    for va, vb in itertools.product(c.values(), repeat=2):
-        a, b = ChainValue(c, va), ChainValue(c, vb)
+    for a, b in itertools.product(c.values(), repeat=2):
         for kind in ("oplus", "odot", "meet", "join"):
-            r = mv_op(kind, a, b)
-            assert make_chain_value(r.value, c) == r
+            check_member(mv_op(kind, a, b), c)
+        check_member(mv_op("neg", a), c)
 
 
 def test_textual_forms():
-    assert str(make_chain_value(Fraction(1, 2), ChainSize(3))) == "1/2"
-    assert str(make_chain_value(0, LINF)) == "0"
-    assert str(make_chain_value(1, ChainSize(2))) == "1"
     assert str(ChainSize(4)) == "L4"
     assert str(LINF) == "Linf"

@@ -60,6 +60,48 @@ def test_dual_of_empty_multiset(capsys):
     assert doc["payload"]["object"]["factors"] == []
 
 
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (
+            ("dual", "{a:1, b:inf}"),
+            {
+                "dual": "L2 * Linf",
+                "object": {
+                    "factors": [{"label": "a", "chain": "L2"}, {"label": "b", "chain": "Linf"}]
+                },
+            },
+        ),
+        (
+            ("dual", "L3 * Linf"),
+            {
+                "dual": "{x1:2, x2:inf}",
+                "object": {
+                    "points": [{"label": "x1", "mult": "2"}, {"label": "x2", "mult": "inf"}]
+                },
+            },
+        ),
+        (
+            ("classify", "{a:2, b:inf, c:2}"),
+            {
+                "hyperarchimedean": True,
+                "stone": False,
+                "projective": False,
+                "extremally_disconnected": False,
+                "urysohn_strauss": False,
+                "profile": {
+                    "entries": [{"mult": "2", "card": "2"}, {"mult": "inf", "card": "1"}]
+                },
+            },
+        ),
+    ],
+)
+def test_json_payloads_are_pinned(capsys, argv, payload):
+    code, doc, err = run_json(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert doc == {"status": "ok", "payload": payload, "diagnostics": []}
+
+
 def test_homs_multisets(capsys):
     code, doc, _ = run_json(capsys, "homs", "{a:2}", "{b:1,c:2}")
     assert code == EXIT_OK
@@ -205,6 +247,7 @@ def test_determinism(capsys):
         (["--format", "xml", "classify", "L2"], "argument --format: invalid choice: 'xml'"),
         (["homs", "{a:1}"], "the following arguments are required: dst"),
         ([], "the following arguments are required: command"),
+        (["homs", "L2", "--", "--"], "expected one argument after '--'"),
     ],
 )
 def test_usage_errors_exit_1_with_usage_on_stderr(capsys, argv, message):

@@ -167,7 +167,7 @@ def test_epsilon_exhaustive():
     for f in enumerate_elements(L3xL2):
         g = apply_hom(eps, f)
         for x in L3xL2.labels:
-            assert g.coord(x).value == f.coord(x).value
+            assert g.coord(x) == f.coord(x)
     L2 = make_algebra([("x", ChainSize(2))])
     assert epsilon(L2).index_map == (("x", "x"),)
 
@@ -178,7 +178,7 @@ def test_epsilon_sampled_on_interval_factor():
     for f in sample_elements(A, 100, seed=0):
         g = apply_hom(eps, f)
         for x in A.labels:
-            assert g.coord(x).value == f.coord(x).value
+            assert g.coord(x) == f.coord(x)
 
 
 def test_naturality_eq1():
