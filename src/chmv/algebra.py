@@ -15,10 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .chain import ChainSize, FRAC_OPS, check_member, frac_neg
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .chain import _ONE, _ZERO, ChainSize, FRAC_OPS, check_member, frac_neg
 
 DEFAULT_ENUM_BOUND = 10 ** 6
 IDEAL_SCAN_LIMIT = 16

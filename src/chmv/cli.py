@@ -55,10 +55,6 @@ def _parse_object(text: str):
     return dsl.parse_algebra(text)
 
 
-def _inf_str(m: ms.Mult) -> str:
-    return "inf" if m == ms.INF else str(m)
-
-
 def _profile_of_input(obj) -> ms.Profile:
     if isinstance(obj, ms.EMultiset):
         return ms.profile_of(obj)
@@ -75,7 +71,7 @@ def cmd_classify(spec: str) -> CommandResult:
         "urysohn_strauss": st.urysohn_strauss_holds(profile),
     }
     report["profile"] = {
-        "entries": [{"mult": _inf_str(m), "card": str(c)} for m, c in profile.entries]
+        "entries": [{"mult": str(m), "card": str(c)} for m, c in profile.entries]
     }
     return CommandResult("ok", report)
 
@@ -89,7 +85,7 @@ def cmd_dual(spec: str) -> CommandResult:
     else:
         out = dual.H_obj(obj)
         shape = dsl.render(out)
-        encoded = {"points": [{"label": lbl, "mult": _inf_str(m)} for lbl, m in out.points]}
+        encoded = {"points": [{"label": lbl, "mult": str(m)} for lbl, m in out.points]}
     return CommandResult("ok", {"dual": shape, "object": encoded})
 
 
@@ -165,19 +161,52 @@ def cmd_selftest(
     return result
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, pad: str = "\n") -> str:
+    """`json.dumps(obj, indent=2, default=str)`, byte for byte, each newline replaced by `pad`.
+
+    Written out for the shapes the commands return (dicts with str keys,
+    lists, str, int, bool, None), because before Python 3.13 `indent` sends
+    json.dumps to its pure-Python encoder.  Anything else goes to json.dumps.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return str(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if kind is list or kind is dict:
+        if not obj:
+            return "[]" if kind is list else "{}"
+        inner = pad + "  "
+        if kind is list:
+            return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + pad + "]"
+        items = []
+        for k, v in obj.items():
+            if type(k) is not str:  # json.dumps spells other keys its own way
+                break
+            items.append(f"{_quote(k)}: {_quote(v) if type(v) is str else _dumps(v, inner)}")
+        else:
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(obj, indent=2, default=str).replace("\n", pad)
+
+
+# From 3.13 the C encoder handles indent and beats _dumps.
+_encode = _dumps if sys.version_info < (3, 13) else functools.partial(
+    json.dumps, indent=2, default=str
+)
+
+
 def _emit(result: CommandResult, fmt: str) -> None:
     if fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "status": result.status,
-                    "payload": result.payload,
-                    "diagnostics": result.diagnostics,
-                },
-                indent=2,
-                default=str,
-            )
-        )
+        print(_encode(
+            {"status": result.status, "payload": result.payload, "diagnostics": result.diagnostics}
+        ))
         return
     if isinstance(result.payload, dict) and "suites" in result.payload:
         for suite in result.payload["suites"]:
@@ -188,7 +217,7 @@ def _emit(result: CommandResult, fmt: str) -> None:
             print(line)
         print("ok" if result.payload["ok"] else "FAILED")
     elif result.payload is not None:
-        print(json.dumps(result.payload, indent=2, default=str))
+        print(_encode(result.payload))
     for message in result.diagnostics:
         print(message, file=sys.stderr)
 

@@ -316,10 +316,7 @@ def _render_algebra(A: ProductAlgebra) -> str:
 
 
 def _render_multiset(X: EMultiset) -> str:
-    body = ", ".join(
-        f"{lbl}:{'inf' if m == INF else m}" for lbl, m in X.points
-    )
-    return "{" + body + "}"
+    return "{" + ", ".join(f"{lbl}:{m}" for lbl, m in X.points) + "}"
 
 
 def _render_term(t: Term, parent: int = -1, right_side: bool = False) -> str:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-INF = float("inf")
+INF = float("inf")  # str(INF) == "inf", the DSL spelling, so multiplicities render with str
 
 Mult = int | float  # positive int, or INF
 

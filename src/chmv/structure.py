@@ -9,15 +9,10 @@ missed by the surjection to a fixed two-element factor.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import Element, ProductAlgebra, leq_elem
-from .chain import ChainSize
+from .chain import _ONE, _ZERO, ChainSize
 from .duality import ContinuousHom, HomError, projection
 from .multiset import EMultiset, INF, Profile
-
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
 
 
 class StructureError(ValueError):
@@ -36,7 +31,23 @@ def is_stone(P: Profile) -> bool:
 
 
 def is_extremally_disconnected(P: Profile) -> bool:
-    """The whole algebra is finite: finite multiplicities, finite fibers."""
+    """The whole algebra is finite: finite multiplicities, finite fibers.
+
+    The property of Gleason's theorem, read in the algebra's own topology:
+    the product topology, with each Ln discrete and Linf the real interval
+    [0, 1] (the code computes with its rational points).  Every closure of
+    an open set must be open.
+    - A finite algebra is a finite Hausdorff space, so discrete: True.
+    - An interval factor is a connected subspace with more than one point,
+      and an extremally disconnected Hausdorff space is totally
+      disconnected: False.
+    - Infinitely many finite factors: fixing all coordinates but the n-th
+      gives a non-trivial convergent sequence, which an extremally
+      disconnected compact Hausdorff space cannot have: False.
+    Under the Stone-space reading (the Stone space of the Boolean center,
+    beta X for the powerset algebra of an infinite X) the answer differs:
+    {1: inf} would be extremally disconnected there.
+    """
     return all(m != INF and c != INF for m, c in P.entries)
 
 

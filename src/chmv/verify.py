@@ -16,10 +16,7 @@ from . import duality as dual
 from . import dsl
 from . import multiset as ms
 from . import structure as st
-from .chain import ChainError, ChainSize, LINF, chain_subset, check_member, mv_op
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .chain import _ONE, _ZERO, ChainError, ChainSize, LINF, chain_subset, check_member, mv_op
 
 
 @dataclass

@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chmv import cli
 from chmv.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_OK, build_parser, main
 
 
@@ -323,6 +324,34 @@ REFERENCE_OUTPUT = """\
 }
 """
 
+CLASSIFY_L2_TEXT = """\
+{
+  "hyperarchimedean": true,
+  "stone": true,
+  "projective": true,
+  "extremally_disconnected": true,
+  "urysohn_strauss": true,
+  "profile": {
+    "entries": [
+      {
+        "mult": "1",
+        "card": "1"
+      }
+    ]
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [(REFERENCE_QUERY, REFERENCE_OUTPUT), (["classify", "L2"], CLASSIFY_L2_TEXT)],
+)
+def test_stdout_bytes_are_pinned(capsys, argv, stdout):
+    """Indentation and key order included, which parsing the JSON would not see."""
+    assert run(capsys, *argv) == (EXIT_OK, stdout, "")
+
+
 _algebras = st.sampled_from([
     "L2", "L3", "L3 * Linf", "[a: L2, b: L4]", "[]", "L2*L2*L2", "L1", "L2 *", "[a: L2, a: L3]",
 ])
@@ -372,3 +401,33 @@ def test_cli_boundary_returns_0_or_1_and_keeps_no_state(argv):
     code, _ = _call(argv)
     assert code in (EXIT_OK, EXIT_DOMAIN)
     assert _call(REFERENCE_QUERY) == (EXIT_OK, REFERENCE_OUTPUT)
+
+
+_json_text = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028'), st.characters()))
+_json_keys = st.one_of(_json_text, st.integers(), st.booleans(), st.none(), st.floats())
+_json_leaves = st.one_of(
+    _json_text,
+    st.integers(min_value=-(2 ** 200), max_value=2 ** 200),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.fractions(),
+)
+_json_payloads = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_json_keys, inner, max_size=4),
+        st.dictionaries(_json_text, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(obj=_json_payloads)
+def test_emitter_writes_the_bytes_of_json_dumps(obj):
+    # _dumps itself, not the version-selected cli._encode, so that 3.13+ tests it too
+    assert cli._dumps(obj) == json.dumps(obj, indent=2, default=str)

@@ -54,6 +54,7 @@ def test_extremally_disconnected():
     assert is_extremally_disconnected(make_profile({2: 3}))
     assert not is_extremally_disconnected(make_profile({2: INF}))
     assert not is_extremally_disconnected(make_profile({INF: 1}))
+    assert not is_extremally_disconnected(make_profile({1: INF}))  # the Cantor space
 
 
 def test_urysohn_strauss():
