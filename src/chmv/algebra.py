@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .chain import _ONE, _ZERO, ChainSize, FRAC_OPS, check_member, frac_neg
@@ -192,14 +192,20 @@ def boolean_center_contains(f: Element) -> bool:
     return all(v == _ZERO or v == _ONE for v in f.coords)
 
 
-def enumerate_elements(
-    A: ProductAlgebra, bound: int = DEFAULT_ENUM_BOUND
-) -> Iterator[Element]:
-    """Yield every element of an all-finite algebra exactly once."""
+def _enumerable_size(A: ProductAlgebra, bound: int = DEFAULT_ENUM_BOUND) -> int:
+    """The size of A, or EnumerationError when it is infinite or above bound."""
     if not A.all_finite:
         raise EnumerationError("cannot enumerate an algebra with an infinite factor")
     if A.size > bound:
         raise EnumerationError(f"algebra has {A.size} elements, bound is {bound}")
+    return A.size
+
+
+def enumerate_elements(
+    A: ProductAlgebra, bound: int = DEFAULT_ENUM_BOUND
+) -> Iterator[Element]:
+    """Yield every element of an all-finite algebra exactly once."""
+    _enumerable_size(A, bound)
     ranges = [c.values() for _, c in A.factors]
     for coords in itertools.product(*ranges):
         yield _trusted_element(A, coords)
@@ -288,8 +294,16 @@ def prop21_report(M: SupportIdeal) -> Prop21Report:
 
 # --- brute-force oracles -------------------------------------------------
 
-def _op_tables(elems: list[Element]) -> tuple[list[list[int]], list[int], int]:
-    """Cayley tables for truncated sum and negation over an element list."""
+@lru_cache(maxsize=256)
+def _op_tables(
+    A: ProductAlgebra,
+) -> tuple[tuple[Element, ...], tuple[tuple[int, ...], ...], tuple[int, ...], int]:
+    """A's elements with Cayley tables for truncated sum and negation, and 0's index.
+
+    Built once per algebra and shared by both oracles, as tuples so that no
+    caller can change the cached tables.
+    """
+    elems = tuple(enumerate_elements(A))
     index = {e.coords: i for i, e in enumerate(elems)}
     n = len(elems)
     opl = [[0] * n for _ in range(n)]
@@ -299,8 +313,8 @@ def _op_tables(elems: list[Element]) -> tuple[list[list[int]], list[int], int]:
         for j in range(i, n):
             k = index[tuple(min(a + b, _ONE) for a, b in zip(e.coords, elems[j].coords))]
             opl[i][j] = opl[j][i] = k
-    zero_idx = index[(_ZERO,) * len(elems[0].coords)] if elems else 0
-    return opl, neg, zero_idx
+    zero_idx = index[(_ZERO,) * len(A.factors)]
+    return elems, tuple(map(tuple, opl)), tuple(neg), zero_idx
 
 
 def brute_force_ideals(A: ProductAlgebra) -> list[frozenset[Element]]:
@@ -310,11 +324,10 @@ def brute_force_ideals(A: ProductAlgebra) -> list[frozenset[Element]]:
     the truncated sum.  The scan also certifies that every ideal found is
     a support ideal I_D.
     """
-    elems = list(enumerate_elements(A))
-    n = len(elems)
+    n = _enumerable_size(A)
     if n > IDEAL_SCAN_LIMIT:
         raise EnumerationError(f"{n} elements exceed the subset-scan limit {IDEAL_SCAN_LIMIT}")
-    opl, _, zero_idx = _op_tables(elems)
+    elems, opl, _, zero_idx = _op_tables(A)
     # bitmask of elements below each element
     down = [0] * n
     for i in range(n):
@@ -366,13 +379,11 @@ def brute_force_homs(
     truncated sum; the search backtracks over images with the constraints
     checked as soon as all participating elements are assigned.
     """
-    ea = list(enumerate_elements(A))
-    eb = list(enumerate_elements(B))
-    n, m = len(ea), len(eb)
+    n, m = _enumerable_size(A), _enumerable_size(B)
     if m ** n > bound:
         raise EnumerationError(f"{m}^{n} candidate maps exceed the bound {bound}")
-    opl_a, neg_a, zero_a = _op_tables(ea)
-    opl_b, neg_b, zero_b = _op_tables(eb)
+    ea, opl_a, neg_a, zero_a = _op_tables(A)
+    eb, opl_b, neg_b, zero_b = _op_tables(B)
     # constraints that become checkable when index i is the last one assigned
     sum_with = [
         [(j, opl_a[i][j]) for j in range(i + 1) if opl_a[i][j] <= i] for i in range(n)
@@ -408,7 +419,5 @@ def brute_force_homs(
                 search(i + 1)
         h[i] = -1
 
-    if n == 0:
-        return [{}]
     search(0)
     return homs

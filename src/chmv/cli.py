@@ -129,9 +129,14 @@ def cmd_eval(term_text: str, algebra_text: str, env_text: str) -> CommandResult:
     if env_text:
         for binding in env_text.split(";"):
             name, _, value = binding.partition("=")
-            if not value:
+            name = name.strip()
+            if not value or not name:
                 return CommandResult("error", None, [f"bad binding {binding!r}"])
-            env[name.strip()] = _parse_element(value, A)
+            if name in env:
+                return CommandResult(
+                    "error", None, [f"bad binding {binding!r}: {name!r} is already bound"]
+                )
+            env[name] = _parse_element(value, A)
     result = dsl.eval_term(term, env, A)
     return CommandResult(
         "ok", {"coords": {lbl: str(v) for lbl, v in zip(A.labels, result.coords)}}
@@ -222,6 +227,17 @@ def _emit(result: CommandResult, fmt: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class UsageError(ValueError):
     """A command line the parser rejects; the text is the usage line and the message."""
 
@@ -268,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the verification suites")
     p.add_argument("--scale", choices=("small", "full"), default="small")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--bound", type=int, default=10 ** 6)
+    p.add_argument("--samples", type=_positive_int, default=100)
+    p.add_argument("--bound", type=_positive_int, default=10 ** 6)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return parser
 

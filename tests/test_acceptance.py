@@ -33,11 +33,11 @@ def test_02_ideal_oracle_and_principality_report():
 
 
 def test_03_hom_oracle_agreement():
-    _run(verify.suite_hom_oracle, 60, 134, sizes=(2, 3, 4), max_factors=3, bound=10 ** 6)
+    _run(verify.suite_hom_oracle, 5, 134, sizes=(2, 3, 4), max_factors=3, bound=10 ** 6)
 
 
 def test_04_duality_counts_functor_laws_naturality():
-    _run(verify.suite_duality, 120, 67370, samples=100, seed=0)
+    _run(verify.suite_duality, 30, 67370, samples=100, seed=0)
 
 
 def test_05_unit_and_counit_isomorphisms():

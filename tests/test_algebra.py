@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from chmv import algebra
 from chmv.algebra import (
     AlgebraMismatchError,
     DuplicateLabelError,
@@ -184,9 +185,11 @@ def test_brute_force_ideals_counts():
 
 
 def test_brute_force_ideals_too_large():
+    algebra._op_tables.cache_clear()
     A = make_algebra([("a", ChainSize(5)), ("b", ChainSize(5))])
-    with pytest.raises(EnumerationError):
+    with pytest.raises(EnumerationError, match="25 elements exceed the subset-scan limit 16"):
         brute_force_ideals(A)
+    assert algebra._op_tables.cache_info().currsize == 0  # refused before any table
 
 
 def test_brute_force_homs_counts():
@@ -199,9 +202,37 @@ def test_brute_force_homs_counts():
 
 
 def test_brute_force_homs_bound():
+    algebra._op_tables.cache_clear()
     L3 = make_algebra([("x", ChainSize(3))])
-    with pytest.raises(EnumerationError):
+    with pytest.raises(EnumerationError, match=r"3\^3 candidate maps exceed the bound 8"):
         brute_force_homs(L3, L3, bound=8)
+    with pytest.raises(EnumerationError, match="infinite factor"):
+        brute_force_homs(L3, make_algebra([("x", LINF)]))
+    assert algebra._op_tables.cache_info().currsize == 0  # refused before any table
+
+
+def test_oracles_share_one_set_of_cayley_tables_per_algebra():
+    L3 = make_algebra([("x", ChainSize(3))])
+    calls = [
+        lambda: brute_force_ideals(L2xL3),
+        lambda: brute_force_homs(L3xL2, L3),
+        lambda: brute_force_homs(L3, L3xL2),
+        lambda: brute_force_ideals(L3),
+    ]
+    fresh = []
+    for call in calls:
+        algebra._op_tables.cache_clear()
+        fresh.append(call())
+    algebra._op_tables.cache_clear()
+    for _ in range(3):
+        for call, expected in zip(calls, fresh):
+            assert call() == expected
+    info = algebra._op_tables.cache_info()
+    assert info.misses == 3  # L2xL3, L3xL2 and L3
+    elems, opl, neg, zero_idx = algebra._op_tables(L3xL2)
+    assert type(elems) is tuple and type(opl) is tuple and type(neg) is tuple
+    assert all(type(row) is tuple for row in opl)
+    assert elems[zero_idx] == zero(L3xL2)
 
 
 def test_brute_force_homs_are_homomorphisms():

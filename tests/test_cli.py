@@ -185,6 +185,22 @@ def test_eval_unbound_variable(capsys):
     assert code == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize(
+    "env, message",
+    [
+        ("x=(1);x=(0)", "bad binding 'x=(0)': 'x' is already bound"),
+        ("x=(1); x =(0)", "bad binding ' x =(0)': 'x' is already bound"),
+        (" =(1)", "bad binding ' =(1)'"),
+        ("x=(1);=(0)", "bad binding '=(0)'"),
+    ],
+)
+def test_eval_duplicate_or_empty_binding_is_domain_error(capsys, env, message):
+    code, out, err = run(capsys, "eval", "x", "--algebra", "L2", "--env", env)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.strip() == message
+
+
 @pytest.mark.parametrize("term", ["~" * 5000 + "x", "(" * 3000 + "x" + ")" * 3000])
 def test_eval_too_deep_is_domain_error(capsys, term):
     code, out, err = run(capsys, "eval", term, "--algebra", "L2", "--env", "x=(1)")
@@ -212,6 +228,22 @@ def test_selftest_small(capsys):
     assert lines[-1] == "ok"
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert len(lines) == 11  # ten suites plus the summary line
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--bound"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_selftest_counts_below_1_are_usage_errors(capsys, flag, value):
+    code, out, err = run(capsys, "selftest", flag, value)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("usage: chmv selftest ")
+    assert f"error: argument {flag}: must be at least 1, got {value}" in err
+
+
+def test_selftest_counts_must_be_ints(capsys):
+    code, out, err = run(capsys, "selftest", "--samples", "1.5")
+    assert code == EXIT_DOMAIN
+    assert "error: argument --samples: invalid int value: '1.5'" in err
 
 
 def test_selftest_injected_fault(capsys):

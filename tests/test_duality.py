@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from chmv import duality
 from chmv.algebra import (
     AlgebraMismatchError,
     enumerate_elements,
@@ -197,6 +198,44 @@ def test_naturality_eq2():
     A = make_algebra([("u", LINF)])
     inc = make_hom(A, A, {"u": "u"})
     assert check_naturality_eq2(inc, samples=100, seed=0)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("element scan ran")
+
+
+def test_naturality_eq2_skips_the_scan_when_index_maps_agree(monkeypatch):
+    monkeypatch.setattr(duality, "sample_elements", _raise)
+    monkeypatch.setattr(duality, "_raw_elements", _raise)
+    L3 = make_algebra([("x", ChainSize(3))])
+    A = make_algebra([("u", LINF)])
+    assert check_naturality_eq2(identity_hom(L3xL2))
+    assert check_naturality_eq2(make_hom(L3xL2, L3, {"x": "a"}))
+    assert check_naturality_eq2(make_hom(A, A, {"u": "u"}))
+
+
+def _swap_first_two_targets(F_mor):
+    """F_mor with the sources of its first two target coordinates exchanged."""
+
+    def broken(phi):
+        h = F_mor(phi)
+        (y1, x1), (y2, x2), *rest = h.index_map
+        return duality._trusted_hom(h.source, h.target, ((y1, x2), (y2, x1), *rest))
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "source, unused_scan",
+    [
+        (L3xL2, "sample_elements"),
+        (make_algebra([("u", LINF), ("v", ChainSize(2))]), "_raw_elements"),
+    ],
+)
+def test_naturality_eq2_catches_a_broken_F_mor(monkeypatch, source, unused_scan):
+    monkeypatch.setattr(duality, "F_mor", _swap_first_two_targets(duality.F_mor))
+    monkeypatch.setattr(duality, unused_scan, _raise)
+    assert not check_naturality_eq2(identity_hom(source), samples=100, seed=0)
 
 
 def test_hom_oracle_agreement_example():
