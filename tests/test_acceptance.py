@@ -37,7 +37,7 @@ def test_03_hom_oracle_agreement():
 
 
 def test_04_duality_counts_functor_laws_naturality():
-    _run(verify.suite_duality, 30, 67370, samples=100, seed=0)
+    _run(verify.suite_duality, 30, 67370)
 
 
 def test_05_unit_and_counit_isomorphisms():
