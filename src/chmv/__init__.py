@@ -40,10 +40,8 @@ from .multiset import (
     enumerate_morphisms,
     identity_morphism,
     is_isomorphic,
-    make_multiset,
     make_profile,
     profile_of,
-    validate_morphism,
 )
 from .duality import (
     ContinuousHom,

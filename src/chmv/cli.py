@@ -144,15 +144,9 @@ def cmd_eval(term_text: str, algebra_text: str, env_text: str) -> CommandResult:
 
 
 def cmd_selftest(
-    scale: str = "small",
-    seed: int = 0,
-    samples: int = 100,
-    bound: int = 10 ** 6,
-    inject_fault: bool = False,
+    scale: str = "small", seed: int = 0, samples: int = 100, bound: int = 10 ** 6
 ) -> CommandResult:
-    results = verify.run_all(
-        scale, seed=seed, samples=samples, bound=bound, inject_fault=inject_fault
-    )
+    results = verify.run_all(scale, seed=seed, samples=samples, bound=bound)
     payload = {
         "suites": [
             {"name": r.name, "ok": r.ok, "checks": r.checks, "failures": r.failures[:5]}
@@ -286,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_positive_int, default=100)
     p.add_argument("--bound", type=_positive_int, default=10 ** 6)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -318,11 +311,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             result = cmd_selftest(
-                args.scale,
-                seed=args.seed,
-                samples=args.samples,
-                bound=args.bound,
-                inject_fault=args.inject_fault,
+                args.scale, seed=args.seed, samples=args.samples, bound=args.bound
             )
     except _DOMAIN_ERRORS as exc:
         result = CommandResult("error", None, [str(exc)])

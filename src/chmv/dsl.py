@@ -109,23 +109,39 @@ def _parse_chain_size(tok: _Token) -> ChainSize:
         raise ParseError(str(exc), tok.position) from None
 
 
+def _parse_mult(tok: _Token) -> Mult:
+    if tok.text == "inf":
+        return INF
+    if not tok.text.isdigit():
+        raise ParseError(f"expected a multiplicity or 'inf', found {tok.text!r}", tok.position)
+    if int(tok.text) < 1:
+        raise ParseError("multiplicity must be at least 1", tok.position)
+    return int(tok.text)
+
+
+def _labelled(cur: _Cursor, open: str, close: str, value) -> tuple[tuple[str, object], ...]:
+    """The whole input as `open label: value, ... close`; value reads one token."""
+    cur.expect(open)
+    entries = []
+    if cur.peek() != close:
+        while True:
+            label = cur.next()
+            if not _IDENT_RE.match(label.text):
+                raise ParseError(f"expected a label, found {label.text!r}", label.position)
+            cur.expect(":")
+            entries.append((label.text, value(cur.next())))
+            if cur.peek() != ",":
+                break
+            cur.next()
+    cur.expect(close)
+    cur.done()
+    return tuple(entries)
+
+
 def parse_algebra(text: str) -> ProductAlgebra:
     cur = _Cursor(text)
     if cur.peek() == "[":
-        cur.next()
-        factors = []
-        if cur.peek() != "]":
-            while True:
-                label = cur.next()
-                if not _IDENT_RE.match(label.text):
-                    raise ParseError(f"expected a label, found {label.text!r}", label.position)
-                cur.expect(":")
-                factors.append((label.text, _parse_chain_size(cur.next())))
-                if cur.peek() != ",":
-                    break
-                cur.next()
-        cur.expect("]")
-        cur.done()
+        factors = _labelled(cur, "[", "]", _parse_chain_size)
         try:
             return make_algebra(factors)
         except AlgebraError as exc:
@@ -139,34 +155,9 @@ def parse_algebra(text: str) -> ProductAlgebra:
 
 
 def parse_multiset(text: str) -> EMultiset:
-    cur = _Cursor(text)
-    cur.expect("{")
-    points: list[tuple[str, Mult]] = []
-    if cur.peek() != "}":
-        while True:
-            label = cur.next()
-            if not _IDENT_RE.match(label.text):
-                raise ParseError(f"expected a label, found {label.text!r}", label.position)
-            cur.expect(":")
-            tok = cur.next()
-            if tok.text == "inf":
-                mult: Mult = INF
-            elif tok.text.isdigit():
-                mult = int(tok.text)
-                if mult < 1:
-                    raise ParseError("multiplicity must be at least 1", tok.position)
-            else:
-                raise ParseError(
-                    f"expected a multiplicity or 'inf', found {tok.text!r}", tok.position
-                )
-            points.append((label.text, mult))
-            if cur.peek() != ",":
-                break
-            cur.next()
-    cur.expect("}")
-    cur.done()
+    points = _labelled(_Cursor(text), "{", "}", _parse_mult)
     try:
-        return EMultiset(tuple(points))
+        return EMultiset(points)
     except MultisetError as exc:
         raise ParseError(str(exc), 0) from None
 

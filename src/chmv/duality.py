@@ -29,8 +29,6 @@ from .algebra import (
 from .chain import ChainSize, LINF, chain_subset
 from .multiset import EMMorphism, EMultiset, INF, _trusted_morphism
 
-DEFAULT_SAMPLES = 100
-DEFAULT_SEED = 0
 SAMPLE_MAX_DENOMINATOR = 6
 
 
@@ -199,9 +197,7 @@ def check_naturality_eq1(phi: EMMorphism) -> bool:
     return lhs.source == rhs.source and lhs.target == rhs.target and lhs.map == rhs.map
 
 
-def sample_elements(
-    A: ProductAlgebra, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
-) -> list[Element]:
+def sample_elements(A: ProductAlgebra, count: int, seed: int) -> list[Element]:
     """Deterministic rational samples; infinite factors draw small denominators."""
     rng = random.Random(seed)
     out = []

@@ -15,7 +15,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 INF = float("inf")  # str(INF) == "inf", the DSL spelling, so multiplicities render with str
 
@@ -65,16 +65,6 @@ class EMultiset:
     def mults(self) -> dict[str, Mult]:
         return dict(self.points)
 
-    def mult(self, label: str) -> Mult:
-        try:
-            return self.mults[label]
-        except KeyError:
-            raise MultisetError(f"no point labelled {label!r}") from None
-
-
-def make_multiset(points: Iterable[tuple[str, Mult]]) -> EMultiset:
-    return EMultiset(tuple(points))
-
 
 @dataclass(frozen=True)
 class EMMorphism:
@@ -101,9 +91,6 @@ class EMMorphism:
     def map(self) -> dict[str, str]:
         return dict(self.mapping)
 
-    def __call__(self, label: str) -> str:
-        return self.map[label]
-
 
 def _trusted_morphism(
     source: EMultiset, target: EMultiset, mapping: tuple[tuple[str, str], ...]
@@ -116,23 +103,13 @@ def _trusted_morphism(
     admissible images; compose_morphisms, since divisibility is transitive;
     and H_mor, where a hom's chain inclusion L(n) <= L(m) is exactly the
     divisibility (n - 1) | (m - 1).  Input from outside the package goes
-    through EMMorphism or validate_morphism, which validate.
+    through EMMorphism, which validates.
     """
     phi = object.__new__(EMMorphism)
     object.__setattr__(phi, "source", source)
     object.__setattr__(phi, "target", target)
     object.__setattr__(phi, "mapping", mapping)
     return phi
-
-
-def validate_morphism(
-    source: EMultiset, target: EMultiset, mapping: Mapping[str, str]
-) -> EMMorphism:
-    """Check a candidate point map and wrap it as a morphism."""
-    ordered = tuple((x, mapping[x]) for x in source.labels if x in mapping)
-    if len(ordered) != len(mapping):
-        raise MorphismError("map assigns points outside the source")
-    return EMMorphism(source, target, ordered)
 
 
 def identity_morphism(X: EMultiset) -> EMMorphism:

@@ -9,7 +9,7 @@ missed by the surjection to a fixed two-element factor.
 
 from __future__ import annotations
 
-from .algebra import Element, ProductAlgebra, leq_elem
+from .algebra import Element, leq_elem
 from .chain import _ONE, _ZERO, ChainSize
 from .duality import ContinuousHom, HomError, projection
 from .multiset import EMultiset, INF, Profile

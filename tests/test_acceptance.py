@@ -29,11 +29,11 @@ def test_01_mv_axioms_exhaustive_and_sampled():
 
 
 def test_02_ideal_oracle_and_principality_report():
-    _run(verify.suite_ideals, 30, 98, sizes=(2, 3, 4), max_factors=3, max_size=16)
+    _run(verify.suite_ideals, 30, 98, max_factors=3)
 
 
 def test_03_hom_oracle_agreement():
-    _run(verify.suite_hom_oracle, 5, 134, sizes=(2, 3, 4), max_factors=3, bound=10 ** 6)
+    _run(verify.suite_hom_oracle, 5, 134, bound=10 ** 6)
 
 
 def test_04_duality_counts_functor_laws_naturality():
@@ -45,7 +45,7 @@ def test_05_unit_and_counit_isomorphisms():
 
 
 def test_06_surjectivity_criterion():
-    _run(verify.suite_surjectivity, 30, 179, sizes=(2, 3, 4, 6), max_factors=2, max_size=36)
+    _run(verify.suite_surjectivity, 30, 179, sizes=(2, 3, 4, 6))
 
 
 def test_07_lifting_through_surjections():

@@ -246,10 +246,18 @@ def test_selftest_counts_must_be_ints(capsys):
     assert "error: argument --samples: invalid int value: '1.5'" in err
 
 
-def test_selftest_injected_fault(capsys):
-    code, out, err = run(capsys, "selftest", "--scale", "small", "--inject-fault")
+def test_selftest_injected_fault(monkeypatch, capsys):
+    run_all = cli.verify.run_all
+
+    def with_a_failing_suite(*args, **kwargs):
+        fault = cli.verify.SuiteResult("injected-fault", 1, ["deliberate failure"])
+        return run_all(*args, **kwargs) + [fault]
+
+    monkeypatch.setattr(cli.verify, "run_all", with_a_failing_suite)
+    code, out, err = run(capsys, "selftest", "--scale", "small")
     assert code == EXIT_DOMAIN
     assert "FAIL" in out
+    assert "FAIL injected-fault (1/1 checks failed): deliberate failure" in err.splitlines()
 
 
 def test_selftest_json_schema(capsys):
@@ -281,6 +289,7 @@ def test_determinism(capsys):
         (["homs", "{a:1}"], "the following arguments are required: dst"),
         ([], "the following arguments are required: command"),
         (["homs", "L2", "--", "--"], "expected one argument after '--'"),
+        (["selftest", "--inject-fault"], "unrecognized arguments: --inject-fault"),
     ],
 )
 def test_usage_errors_exit_1_with_usage_on_stderr(capsys, argv, message):

@@ -20,7 +20,7 @@ from chmv.dsl import (
     parse_term,
     render,
 )
-from chmv.multiset import INF, make_multiset
+from chmv.multiset import EMultiset, INF
 
 
 def test_parse_algebra_unlabeled():
@@ -62,6 +62,29 @@ def test_parse_multiset_syntax_errors():
     for bad in ("{a}", "{a:2", "{a:b}", "{a:2,}"):
         with pytest.raises(ParseError):
             parse_multiset(bad)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, position",
+    [
+        (parse_algebra, "[a L2]", "expected ':', found 'L2'", 3),
+        (parse_algebra, "[a: L2,]", "expected a label, found ']'", 7),
+        (parse_algebra, "[1: L2]", "expected a label, found '1'", 1),
+        (parse_algebra, "[a: Lx]", "expected a chain like L3 or Linf, found 'Lx'", 4),
+        (parse_algebra, "[a: L2] x", "trailing input 'x'", 8),
+        (parse_multiset, "{a}", "expected ':', found '}'", 2),
+        (parse_multiset, "{a:2,}", "expected a label, found '}'", 5),
+        (parse_multiset, "{1:2}", "expected a label, found '1'", 1),
+        (parse_multiset, "{a:b}", "expected a multiplicity or 'inf', found 'b'", 3),
+        (parse_multiset, "{a:0}", "multiplicity must be at least 1", 3),
+        (parse_multiset, "{a:2", "unexpected end of input", 4),
+    ],
+)
+def test_labelled_parse_errors_keep_message_and_position(parse, text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
 
 
 def test_parse_term_tautology_shape():
@@ -188,8 +211,8 @@ def test_render_algebra():
 
 
 def test_render_multiset():
-    assert render(make_multiset([("a", INF)])) == "{a:inf}"
-    assert render(make_multiset([])) == "{}"
+    assert render(EMultiset((("a", INF),))) == "{a:inf}"
+    assert render(EMultiset(())) == "{}"
 
 
 def test_render_term_minimal_parens():

@@ -34,9 +34,8 @@ from chmv.duality import (
 )
 from chmv.multiset import (
     EMMorphism,
+    EMultiset,
     identity_morphism,
-    make_multiset,
-    validate_morphism,
     INF,
 )
 
@@ -104,10 +103,10 @@ def test_enumerate_continuous_homs_counts():
 
 
 def test_F_obj():
-    X = make_multiset([("a", 1), ("b", 3)])
+    X = EMultiset((("a", 1), ("b", 3)))
     assert F_obj(X).factors == (("a", ChainSize(2)), ("b", ChainSize(4)))
-    assert F_obj(make_multiset([])).factors == ()
-    assert F_obj(make_multiset([("a", INF)])).factors == (("a", LINF),)
+    assert F_obj(EMultiset(())).factors == ()
+    assert F_obj(EMultiset((("a", INF),))).factors == (("a", LINF),)
 
 
 def test_H_obj():
@@ -118,10 +117,10 @@ def test_H_obj():
 
 
 def test_F_mor_identity_and_collapse():
-    X = make_multiset([("a", 2)])
+    X = EMultiset((("a", 2),))
     assert F_mor(identity_morphism(X)) == identity_hom(F_obj(X))
-    Y = make_multiset([("b", 1)])
-    phi = validate_morphism(X, Y, {"a": "b"})
+    Y = EMultiset((("b", 1),))
+    phi = EMMorphism(X, Y, (("a", "b"),))
     h = F_mor(phi)  # the constant-reindex hom L2 -> L3
     assert h.source == F_obj(Y) and h.target == F_obj(X)
     for f in enumerate_elements(F_obj(Y)):
@@ -129,11 +128,11 @@ def test_F_mor_identity_and_collapse():
 
 
 def test_F_contravariant_on_composition():
-    X = make_multiset([("a", 4)])
-    Y = make_multiset([("b", 2)])
-    Z = make_multiset([("c", 1)])
-    phi = validate_morphism(X, Y, {"a": "b"})
-    psi = validate_morphism(Y, Z, {"b": "c"})
+    X = EMultiset((("a", 4),))
+    Y = EMultiset((("b", 2),))
+    Z = EMultiset((("c", 1),))
+    phi = EMMorphism(X, Y, (("a", "b"),))
+    psi = EMMorphism(Y, Z, (("b", "c"),))
     from chmv.multiset import compose_morphisms
 
     lhs = F_mor(compose_morphisms(psi, phi))
@@ -152,7 +151,7 @@ def test_H_mor():
 
 
 def test_eta_roundtrip():
-    X = make_multiset([("a", 1), ("b", 2)])
+    X = EMultiset((("a", 1), ("b", 2)))
     e = eta(X)
     assert set(e.map.values()) == set(e.target.labels)
     assert all(e.target.mults[e.map[x]] == X.mults[x] for x in X.labels)
@@ -160,7 +159,7 @@ def test_eta_roundtrip():
     from chmv.multiset import compose_morphisms
 
     assert compose_morphisms(inverse, e) == identity_morphism(X)
-    assert eta(make_multiset([])).mapping == ()
+    assert eta(EMultiset(())).mapping == ()
 
 
 def test_epsilon_exhaustive():
@@ -183,9 +182,9 @@ def test_epsilon_sampled_on_interval_factor():
 
 
 def test_naturality_eq1():
-    X = make_multiset([("a", 2)])
-    Y = make_multiset([("b", 1)])
-    phi = validate_morphism(X, Y, {"a": "b"})
+    X = EMultiset((("a", 2),))
+    Y = EMultiset((("b", 1),))
+    phi = EMMorphism(X, Y, (("a", "b"),))
     assert check_naturality_eq1(identity_morphism(X))
     assert check_naturality_eq1(phi)
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from chmv.algebra import enumerate_elements, leq_elem, make_algebra, make_element
 from chmv.chain import ChainSize, LINF
 from chmv.duality import apply_hom, compose_homs, enumerate_continuous_homs, make_hom
-from chmv.multiset import INF, make_multiset, make_profile, profile_of
+from chmv.multiset import EMultiset, INF, make_profile, profile_of
 from chmv.structure import (
     StructureError,
     injective_in_EM,
@@ -179,9 +179,9 @@ def test_lift_requires_surjection():
 
 
 def test_injective_in_EM():
-    assert injective_in_EM(make_multiset([("a", 1), ("b", 7)]))
-    assert not injective_in_EM(make_multiset([("a", 2)]))
-    assert not injective_in_EM(make_multiset([]))
+    assert injective_in_EM(EMultiset((("a", 1), ("b", 7))))
+    assert not injective_in_EM(EMultiset((("a", 2),)))
+    assert not injective_in_EM(EMultiset(()))
 
 
 def test_projective_iff_dual_injective():
