@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Mapping
 
 from .algebra import (
@@ -30,6 +30,7 @@ from .chain import ChainSize, LINF, chain_subset
 from .multiset import EMMorphism, EMultiset, INF, _trusted_morphism
 
 SAMPLE_MAX_DENOMINATOR = 6
+FUNCTOR_CACHE_SIZE = 128  # a full selftest calls each functor on 84 distinct objects
 
 
 class HomError(AlgebraError):
@@ -150,6 +151,7 @@ def element_map(h: ContinuousHom) -> dict[Element, Element]:
 
 # --- the two functors ------------------------------------------------------
 
+@lru_cache(maxsize=FUNCTOR_CACHE_SIZE)
 def F_obj(X: EMultiset) -> ProductAlgebra:
     """Multiset point of multiplicity s becomes a chain factor of size s + 1."""
     return ProductAlgebra(
@@ -164,6 +166,7 @@ def F_mor(phi: EMMorphism) -> ContinuousHom:
     return _trusted_hom(F_obj(phi.target), F_obj(phi.source), tuple(phi.mapping))
 
 
+@lru_cache(maxsize=FUNCTOR_CACHE_SIZE)
 def H_obj(A: ProductAlgebra) -> EMultiset:
     """A chain factor of size n becomes a point of multiplicity n - 1."""
     return EMultiset(

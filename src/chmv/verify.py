@@ -10,6 +10,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import algebra as alg
 from . import duality as dual
@@ -39,10 +40,11 @@ class _Recorder:
     def __init__(self, name: str):
         self.result = SuiteResult(name)
 
-    def check(self, cond: bool, msg: str) -> None:
+    def check(self, cond: bool, msg: Callable[[], str]) -> None:
+        """Count one check; only a failed check calls msg to describe its inputs."""
         self.result.checks += 1
         if not cond:
-            self.result.failures.append(msg)
+            self.result.failures.append(msg())
 
 
 # --- shared families ---------------------------------------------------------
@@ -88,15 +90,15 @@ def suite_mv_axioms(max_n=7, rational_pairs=1000, seed=0) -> SuiteResult:
     rec = _Recorder("mv-axioms")
 
     def axioms(a: Fraction, b: Fraction, c: ChainSize, where: str) -> None:
-        rec.check(mv_op("oplus", a, b) == mv_op("oplus", b, a), f"commutativity {where}")
-        rec.check(mv_op("neg", mv_op("neg", a)) == a, f"involution {where}")
-        rec.check(mv_op("oplus", a, _ZERO) == a, f"zero identity {where}")
-        rec.check(mv_op("oplus", a, _ONE) == _ONE, f"one absorbs {where}")
+        rec.check(mv_op("oplus", a, b) == mv_op("oplus", b, a), lambda: f"commutativity {where}")
+        rec.check(mv_op("neg", mv_op("neg", a)) == a, lambda: f"involution {where}")
+        rec.check(mv_op("oplus", a, _ZERO) == a, lambda: f"zero identity {where}")
+        rec.check(mv_op("oplus", a, _ONE) == _ONE, lambda: f"one absorbs {where}")
         lhs = mv_op("oplus", mv_op("neg", mv_op("oplus", mv_op("neg", a), b)), b)
         rhs = mv_op("oplus", mv_op("neg", mv_op("oplus", mv_op("neg", b), a)), a)
-        rec.check(lhs == rhs, f"MV axiom {where}")
+        rec.check(lhs == rhs, lambda: f"MV axiom {where}")
         for kind in ("oplus", "odot", "meet", "join"):
-            rec.check(_in_chain(mv_op(kind, a, b), c), f"closure {kind} {where}")
+            rec.check(_in_chain(mv_op(kind, a, b), c), lambda: f"closure {kind} {where}")
 
     for n in range(2, max_n + 1):
         c = ChainSize(n)
@@ -112,11 +114,11 @@ def suite_mv_axioms(max_n=7, rational_pairs=1000, seed=0) -> SuiteResult:
 
     sizes = [ChainSize(n) for n in range(2, max_n + 1)] + [LINF]
     for c1 in sizes:
-        rec.check(chain_subset(c1, c1), f"subset reflexive {c1}")
-        rec.check(chain_subset(ChainSize(2), c1), f"L2 inside {c1}")
+        rec.check(chain_subset(c1, c1), lambda: f"subset reflexive {c1}")
+        rec.check(chain_subset(ChainSize(2), c1), lambda: f"L2 inside {c1}")
         for c2, c3 in itertools.product(sizes, repeat=2):
             if chain_subset(c1, c2) and chain_subset(c2, c3):
-                rec.check(chain_subset(c1, c3), f"subset transitive {c1},{c2},{c3}")
+                rec.check(chain_subset(c1, c3), lambda: f"subset transitive {c1},{c2},{c3}")
     return rec.result
 
 
@@ -132,26 +134,32 @@ def suite_ideals(max_factors=3) -> SuiteResult:
             for r in range(len(A.labels) + 1)
             for D in itertools.combinations(A.labels, r)
         }
-        rec.check(found == supports, f"ideals of {dsl.render(A) or '[]'} are the support ideals")
+        rec.check(
+            found == supports,
+            lambda: f"ideals of {dsl.render(A) or '[]'} are the support ideals",
+        )
         all_elems = frozenset(alg.enumerate_elements(A))
         proper = [I for I in found if I != all_elems]
         maximal = {
             I for I in proper if not any(I < J for J in proper)
         }
         expected = {alg.ideal_elements(M) for M in alg.maximal_ideals(A)}
-        rec.check(maximal == expected, f"maximal ideals of {dsl.render(A)}")
+        rec.check(maximal == expected, lambda: f"maximal ideals of {dsl.render(A)}")
         for M in alg.maximal_ideals(A):
             report = alg.prop21_report(M)
-            rec.check(report.all_hold, f"four conditions at {sorted(M.free)} in {dsl.render(A)}")
+            rec.check(
+                report.all_hold,
+                lambda: f"four conditions at {sorted(M.free)} in {dsl.render(A)}",
+            )
             rec.check(
                 alg.principal_ideal(report.generator) == M
                 and alg.ideal_membership(report.generator, M),
-                f"generator witness at {sorted(M.free)} in {dsl.render(A)}",
+                lambda: f"generator witness at {sorted(M.free)} in {dsl.render(A)}",
             )
             sup = alg.ideal_sup(M)
             rec.check(
                 alg.ideal_membership(sup, M) and alg.boolean_center_contains(sup),
-                f"sup of {sorted(M.free)} in center",
+                lambda: f"sup of {sorted(M.free)} in center",
             )
     return rec.result
 
@@ -175,7 +183,7 @@ def suite_hom_oracle(bound=10 ** 6) -> SuiteResult:
         }
         rec.check(
             brute == induced,
-            f"homs {dsl.render(A) or '[]'} -> {dsl.render(B) or '[]'}: "
+            lambda: f"homs {dsl.render(A) or '[]'} -> {dsl.render(B) or '[]'}: "
             f"oracle {len(brute)} vs index maps {len(induced)}",
         )
     return rec.result
@@ -191,18 +199,18 @@ def suite_duality(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3) -> SuiteResult:
         A = dual.F_obj(X)
         rec.check(
             dual.F_mor(ms.identity_morphism(X)) == dual.identity_hom(A),
-            f"F preserves identity of {dsl.render(X)}",
+            lambda: f"F preserves identity of {dsl.render(X)}",
         )
         rec.check(
             dual.H_mor(dual.identity_hom(A)) == ms.identity_morphism(dual.H_obj(A)),
-            f"H preserves identity of {dsl.render(X)}",
+            lambda: f"H preserves identity of {dsl.render(X)}",
         )
 
     for X, Y in itertools.product(family, repeat=2):
         morphs = list(ms.enumerate_morphisms(X, Y))
         rec.check(
             len(morphs) == ms.morphism_count(X, Y),
-            f"hom count product formula {dsl.render(X)} -> {dsl.render(Y)}",
+            lambda: f"hom count product formula {dsl.render(X)} -> {dsl.render(Y)}",
         )
         hom_maps = {
             h.index_map
@@ -211,16 +219,18 @@ def suite_duality(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3) -> SuiteResult:
         f_images = {dual.F_mor(phi).index_map for phi in morphs}
         rec.check(
             len(f_images) == len(morphs) and f_images == hom_maps,
-            f"hom-set bijection {dsl.render(X)} vs {dsl.render(Y)}",
+            lambda: f"hom-set bijection {dsl.render(X)} vs {dsl.render(Y)}",
         )
         for phi in morphs:
             rec.check(
                 dual.check_naturality_eq1(phi),
-                f"unit naturality at {dict(phi.mapping)} : {dsl.render(X)} -> {dsl.render(Y)}",
+                lambda: f"unit naturality at {dict(phi.mapping)} : "
+                f"{dsl.render(X)} -> {dsl.render(Y)}",
             )
             rec.check(
                 dual.check_naturality_eq2(dual.F_mor(phi)),
-                f"counit naturality at {dict(phi.mapping)} : {dsl.render(X)} -> {dsl.render(Y)}",
+                lambda: f"counit naturality at {dict(phi.mapping)} : "
+                f"{dsl.render(X)} -> {dsl.render(Y)}",
             )
 
     comp_family = multiset_family(2, (1, 2, 3, ms.INF))
@@ -230,12 +240,12 @@ def suite_duality(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3) -> SuiteResult:
                 chained = ms.compose_morphisms(psi, phi)
                 lhs = dual.F_mor(chained)
                 rhs = dual.compose_homs(dual.F_mor(phi), dual.F_mor(psi))
-                rec.check(lhs == rhs, "F contravariant on a composable pair")
+                rec.check(lhs == rhs, lambda: "F contravariant on a composable pair")
                 back = ms.compose_morphisms(
                     dual.H_mor(dual.F_mor(psi)), dual.H_mor(dual.F_mor(phi))
                 )
                 rec.check(
-                    dual.H_mor(rhs) == back, "H contravariant on a composable pair"
+                    dual.H_mor(rhs) == back, lambda: "H contravariant on a composable pair"
                 )
     return rec.result
 
@@ -252,20 +262,20 @@ def suite_eta_epsilon(
         images = set(e.map.values())
         rec.check(
             len(images) == len(X.labels) and images == set(round_trip.labels),
-            f"eta bijective on {dsl.render(X)}",
+            lambda: f"eta bijective on {dsl.render(X)}",
         )
         rec.check(
             all(round_trip.mults[e.map[x]] == X.mults[x] for x in X.labels),
-            f"eta multiplicity-preserving on {dsl.render(X)}",
+            lambda: f"eta multiplicity-preserving on {dsl.render(X)}",
         )
         rec.check(
             ms.is_isomorphic(ms.profile_of(round_trip), ms.profile_of(X)),
-            f"profile equality for {dsl.render(X)}",
+            lambda: f"profile equality for {dsl.render(X)}",
         )
         inverse = ms.EMMorphism(round_trip, X, tuple((y, y) for y in round_trip.labels))
         rec.check(
             ms.compose_morphisms(inverse, e) == ms.identity_morphism(X),
-            f"eta inverse on {dsl.render(X)}",
+            lambda: f"eta inverse on {dsl.render(X)}",
         )
 
         A = dual.F_obj(X)
@@ -279,7 +289,7 @@ def suite_eta_epsilon(
             for f in elems
             for x in A.labels
         )
-        rec.check(ok, f"epsilon coordinatewise on {dsl.render(A) or '[]'}")
+        rec.check(ok, lambda: f"epsilon coordinatewise on {dsl.render(A) or '[]'}")
     return rec.result
 
 
@@ -294,7 +304,8 @@ def suite_surjectivity(sizes=(2, 3, 4, 6)) -> SuiteResult:
             image = {dual.apply_hom(h, f).coords for f in alg.enumerate_elements(C)}
             rec.check(
                 st.is_surjective_hom(h) == (image == targets),
-                f"surjectivity of {dict(h.index_map)} : {dsl.render(C) or '[]'} -> {dsl.render(B) or '[]'}",
+                lambda: f"surjectivity of {dict(h.index_map)} : "
+                f"{dsl.render(C) or '[]'} -> {dsl.render(B) or '[]'}",
             )
     return rec.result
 
@@ -335,26 +346,26 @@ def suite_lifting(instances=100, seed=0) -> SuiteResult:
         composed = dual.compose_homs(psi, lifted)
         rec.check(
             composed.map == phi.map and composed.source == A and composed.target == B,
-            f"lift index maps at instance {i}",
+            lambda: f"lift index maps at instance {i}",
         )
         if A.all_finite and C.all_finite and A.size <= 512:
             ok = all(
                 dual.apply_hom(psi, dual.apply_hom(lifted, f)) == dual.apply_hom(phi, f)
                 for f in alg.enumerate_elements(A)
             )
-            rec.check(ok, f"lift element check at instance {i}")
+            rec.check(ok, lambda: f"lift element check at instance {i}")
 
     l2 = alg.make_algebra([("x1", ChainSize(2))])
     for A in algebra_family((3, 4, 6, None), max_factors=3, include_empty=True):
         rec.check(
             dual.continuous_hom_count(A, l2) == 0,
-            f"no hom to L2 from {dsl.render(A) or '[]'}",
+            lambda: f"no hom to L2 from {dsl.render(A) or '[]'}",
         )
     for A in algebra_family((2, 3, None), max_factors=2, include_empty=False):
         has_l2 = any(c == ChainSize(2) for _, c in A.factors)
         rec.check(
             (dual.continuous_hom_count(A, l2) > 0) == has_l2,
-            f"hom to L2 exists iff L2 factor in {dsl.render(A)}",
+            lambda: f"hom to L2 exists iff L2 factor in {dsl.render(A)}",
         )
     return rec.result
 
@@ -370,21 +381,22 @@ def suite_separation(max_points=4) -> SuiteResult:
             if alg.leq_elem(f, g):
                 try:
                     st.separate(f, g)
-                    rec.check(False, f"separate accepted {f} <= {g}")
+                    accepted = True
                 except st.StructureError:
-                    rec.check(True, "")
+                    accepted = False
+                rec.check(not accepted, lambda: f"separate accepted {f} <= {g}")
             else:
                 h = st.separate(f, g)
                 rec.check(
                     dual.apply_hom(h, f).coords == (_ONE,)
                     and dual.apply_hom(h, g).coords == (_ZERO,),
-                    f"separation of {f}, {g} in 2^{k}",
+                    lambda: f"separation of {f}, {g} in 2^{k}",
                 )
 
     # in L3 the element 1/2 exceeds 0, yet no continuous hom moves it to 1
     l3 = alg.make_algebra([("x1", ChainSize(3))])
     half = alg.make_element(l3, [Fraction(1, 2)])
-    rec.check(not alg.leq_elem(half, alg.zero(l3)), "1/2 is not below 0 in L3")
+    rec.check(not alg.leq_elem(half, alg.zero(l3)), lambda: "1/2 is not below 0 in L3")
     targets = [
         alg.make_algebra([("y1", ChainSize(n))]) for n in (3, 5, 7)
     ] + [alg.make_algebra([("y1", LINF)])]
@@ -392,7 +404,7 @@ def suite_separation(max_points=4) -> SuiteResult:
         for h in dual.enumerate_continuous_homs(l3, T):
             rec.check(
                 all(v != _ONE for v in dual.apply_hom(h, half).coords),
-                f"no hom L3 -> {dsl.render(T)} sends 1/2 to 1",
+                lambda: f"no hom L3 -> {dsl.render(T)} sends 1/2 to 1",
             )
     return rec.result
 
@@ -408,10 +420,10 @@ def suite_predicates() -> SuiteResult:
         entries = {m: c for m, c in zip(mults, assignment) if c is not None}
         P = ms.make_profile(entries)
         if st.is_extremally_disconnected(P):
-            rec.check(st.is_stone(P), f"extremally disconnected implies Stone: {entries}")
+            rec.check(st.is_stone(P), lambda: f"extremally disconnected implies Stone: {entries}")
         if st.is_stone(P):
             rec.check(
-                st.is_hyperarchimedean(P), f"Stone implies hyperarchimedean: {entries}"
+                st.is_hyperarchimedean(P), lambda: f"Stone implies hyperarchimedean: {entries}"
             )
         # concrete stand-in: an omega fiber contributes three sample points
         points = []
@@ -422,11 +434,11 @@ def suite_predicates() -> SuiteResult:
         X = ms.EMultiset(tuple(points))
         rec.check(
             st.is_projective(P) == st.injective_in_EM(X),
-            f"projective iff dual injective: {entries}",
+            lambda: f"projective iff dual injective: {entries}",
         )
         rec.check(
             st.is_projective(ms.profile_of(X)) == st.injective_in_EM(X),
-            f"profile route agrees: {entries}",
+            lambda: f"profile route agrees: {entries}",
         )
     return rec.result
 
@@ -502,9 +514,9 @@ def suite_dsl(max_size=36) -> SuiteResult:
         parse = _PARSERS[kind]
         value = parse(text)
         rendered = dsl.render(value)
-        rec.check(parse(rendered) == value, f"round trip for {text!r}")
+        rec.check(parse(rendered) == value, lambda: f"round trip for {text!r}")
         rec.check(
-            dsl.render(parse(rendered)) == rendered, f"render fixpoint for {text!r}"
+            dsl.render(parse(rendered)) == rendered, lambda: f"render fixpoint for {text!r}"
         )
 
     taut = dsl.parse_term("~x (+) x")
@@ -514,9 +526,11 @@ def suite_dsl(max_size=36) -> SuiteResult:
         one, nil = alg.unit(A), alg.zero(A)
         for e in alg.enumerate_elements(A):
             env = {"x": e}
-            rec.check(dsl.eval_term(taut, env, A) == one, f"~x(+)x at {e} in {dsl.render(A)}")
-            rec.check(dsl.eval_term(contra, env, A) == nil, f"x(.)~x at {e}")
-            rec.check(dsl.eval_term(refl, env, A) == one, f"x->x at {e}")
+            rec.check(
+                dsl.eval_term(taut, env, A) == one, lambda: f"~x(+)x at {e} in {dsl.render(A)}"
+            )
+            rec.check(dsl.eval_term(contra, env, A) == nil, lambda: f"x(.)~x at {e}")
+            rec.check(dsl.eval_term(refl, env, A) == one, lambda: f"x->x at {e}")
 
     # evaluation commutes with projections
     A = dsl.parse_algebra("L2 * L3")
@@ -533,7 +547,7 @@ def suite_dsl(max_size=36) -> SuiteResult:
             )
             rec.check(
                 dual.apply_hom(p, value) == projected,
-                f"projection commutes at {lbl} for {f}, {g}",
+                lambda: f"projection commutes at {lbl} for {f}, {g}",
             )
     return rec.result
 

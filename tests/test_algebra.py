@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chmv import algebra
+from chmv import algebra, verify
 from chmv.algebra import (
     AlgebraMismatchError,
     DuplicateLabelError,
@@ -182,6 +182,38 @@ def test_brute_force_ideals_counts():
     assert len(brute_force_ideals(L2xL3)) == 4
     with pytest.raises(EnumerationError):
         brute_force_ideals(make_algebra([("x", LINF)]))
+
+
+def _plain_ideal_scan(A):
+    """Every subset that holds 0 and is closed downward and under the truncated
+    sum, tested member by member."""
+    elems = list(enumerate_elements(A))
+    n = len(elems)
+    index = {e: i for i, e in enumerate(elems)}
+    below = [[j for j in range(n) if leq_elem(elems[j], elems[i])] for i in range(n)]
+    total = [[index[pointwise_op("oplus", e, f)] for f in elems] for e in elems]
+    zero_idx = index[zero(A)]
+    found = []
+    for mask in range(1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        if zero_idx not in members:
+            continue
+        if not all(mask >> j & 1 for i in members for j in below[i]):
+            continue
+        if not all(mask >> total[i][j] & 1 for i in members for j in members):
+            continue
+        found.append(frozenset(elems[i] for i in members))
+    return found
+
+
+def test_table_scan_finds_the_plain_scans_ideals():
+    family = verify.algebra_family((2, 3, 4, 5), max_factors=4, max_size=16)
+    sizes = sorted(A.size for A in family)
+    assert sizes == [1, 2, 3, 4, 4, 5, 6, 8, 8, 9, 10, 12, 12, 15, 16, 16, 16]
+    for A in family:
+        found = brute_force_ideals(A)
+        assert len(found) == len(set(found)) == 2 ** len(A.labels)
+        assert set(found) == set(_plain_ideal_scan(A)), A
 
 
 def test_brute_force_ideals_too_large():

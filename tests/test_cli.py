@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chmv import cli
-from chmv.cli import EXIT_DOMAIN, EXIT_INTERNAL, EXIT_OK, build_parser, main
+from chmv.cli import EXIT_DOMAIN, EXIT_OK, build_parser, main
 
 
 def run(capsys, *argv):

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,6 @@ from chmv.algebra import (
 )
 from chmv.chain import ChainSize, LINF
 from chmv.duality import (
-    ContinuousHom,
     F_mor,
     F_obj,
     H_mor,
