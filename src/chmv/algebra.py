@@ -10,6 +10,7 @@ compare what they find with the structural shortcuts used elsewhere.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -55,6 +56,15 @@ class ProductAlgebra:
         labels = [lbl for lbl, _ in self.factors]
         if len(set(labels)) != len(labels):
             raise DuplicateLabelError(f"duplicate factor labels in {labels}")
+        object.__setattr__(self, "_hash", hash(self.factors))
+
+    def __hash__(self) -> int:
+        """The hash stored at construction: functor-cache lookups skip the nested tuple."""
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: string hashes differ between processes
+        return ProductAlgebra, (self.factors,)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -94,7 +104,7 @@ def make_algebra(spec: Iterable[tuple[str, ChainSize]]) -> ProductAlgebra:
     return ProductAlgebra(tuple(spec))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     """A coordinate tuple, aligned with the factor order of its algebra."""
 
@@ -124,6 +134,10 @@ class Element:
         return "(" + ", ".join(str(v) for v in self.coords) + ")"
 
 
+# the slot setters, which skip the frozen class's __setattr__
+_set_algebra, _set_coords = Element.algebra.__set__, Element.coords.__set__
+
+
 def _trusted_element(A: ProductAlgebra, coords: tuple[Fraction, ...]) -> Element:
     """Build an Element without re-running the membership checks of __post_init__.
 
@@ -135,8 +149,8 @@ def _trusted_element(A: ProductAlgebra, coords: tuple[Fraction, ...]) -> Element
     the package goes through Element or make_element, which validate.
     """
     e = object.__new__(Element)
-    object.__setattr__(e, "algebra", A)
-    object.__setattr__(e, "coords", coords)
+    _set_algebra(e, A)
+    _set_coords(e, coords)
     return e
 
 
@@ -297,24 +311,30 @@ def prop21_report(M: SupportIdeal) -> Prop21Report:
 @lru_cache(maxsize=256)
 def _op_tables(
     A: ProductAlgebra,
-) -> tuple[tuple[Element, ...], tuple[tuple[int, ...], ...], tuple[int, ...], int]:
-    """A's elements with Cayley tables for truncated sum and negation, and 0's index.
+) -> tuple[tuple[Element, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """A's elements with Cayley tables for truncated sum and negation, as indices.
 
-    Built once per algebra and shared by both oracles, as tuples so that no
-    caller can change the cached tables.
+    Element i of enumerate_elements(A) has the mixed-radix digits d_k of i,
+    coordinate k being d_k / (n_k - 1).  So the sum of elements with digits
+    a and b has index sum_k min(a_k + b_k, n_k - 1) * stride_k, the negation
+    of element i is element n - 1 - i, and 0 is element 0.  Built once per
+    algebra and shared by both oracles, as tuples so that no caller can
+    change the cached tables.
     """
     elems = tuple(enumerate_elements(A))
-    index = {e.coords: i for i, e in enumerate(elems)}
-    n = len(elems)
-    opl = [[0] * n for _ in range(n)]
-    neg = [0] * n
-    for i, e in enumerate(elems):
-        neg[i] = index[tuple(frac_neg(v) for v in e.coords)]
-        for j in range(i, n):
-            k = index[tuple(min(a + b, _ONE) for a, b in zip(e.coords, elems[j].coords))]
-            opl[i][j] = opl[j][i] = k
-    zero_idx = index[(_ZERO,) * len(A.factors)]
-    return elems, tuple(map(tuple, opl)), tuple(neg), zero_idx
+    radices = [c.n for _, c in A.factors]
+    strides = [math.prod(radices[k + 1:]) for k in range(len(radices))]
+
+    def sums_with(digits: tuple[int, ...]) -> tuple[int, ...]:
+        """The indices of this element (+) each element, in enumeration order."""
+        columns = [
+            [min(a + b, r - 1) * s for b in range(r)]
+            for a, r, s in zip(digits, radices, strides)
+        ]
+        return tuple(map(sum, itertools.product(*columns)))
+
+    opl = tuple(map(sums_with, itertools.product(*map(range, radices))))
+    return elems, opl, tuple(reversed(range(len(elems))))
 
 
 def _union_table(sets: list[int]) -> list[int]:
@@ -338,7 +358,7 @@ def brute_force_ideals(A: ProductAlgebra) -> list[frozenset[Element]]:
     n = _enumerable_size(A)
     if n > IDEAL_SCAN_LIMIT:
         raise EnumerationError(f"{n} elements exceed the subset-scan limit {IDEAL_SCAN_LIMIT}")
-    elems, opl, _, zero_idx = _op_tables(A)
+    elems, opl, _ = _op_tables(A)
     # bitmask of elements below each element (each element is below itself)
     down = [0] * n
     for i in range(n):
@@ -353,7 +373,7 @@ def brute_force_ideals(A: ProductAlgebra) -> list[frozenset[Element]]:
     lo, hi = _union_table(down[:half]), _union_table(down[half:])
     found = []
     for mask in range(1 << n):
-        if not mask >> zero_idx & 1:
+        if not mask & 1:  # 0 is element 0
             continue
         if lo[mask & lo_mask] | hi[mask >> half] != mask:
             continue
@@ -383,8 +403,8 @@ def brute_force_homs(
     n, m = _enumerable_size(A), _enumerable_size(B)
     if m ** n > bound:
         raise EnumerationError(f"{m}^{n} candidate maps exceed the bound {bound}")
-    ea, opl_a, neg_a, zero_a = _op_tables(A)
-    eb, opl_b, neg_b, zero_b = _op_tables(B)
+    ea, opl_a, neg_a = _op_tables(A)
+    eb, opl_b, neg_b = _op_tables(B)
     # constraints that become checkable when index i is the last one assigned
     sum_with = [
         [(j, opl_a[i][j]) for j in range(i + 1) if opl_a[i][j] <= i] for i in range(n)
@@ -397,7 +417,7 @@ def brute_force_homs(
     homs: list[dict[Element, Element]] = []
 
     def admissible(i: int, v: int) -> bool:
-        if i == zero_a and v != zero_b:
+        if i == 0 and v != 0:  # 0 is element 0 of both algebras
             return False
         k = neg_a[i]
         if k <= i and neg_b[v] != (v if k == i else h[k]):

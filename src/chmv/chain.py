@@ -55,17 +55,25 @@ LINF = ChainSize(None)
 
 
 def check_member(v: Fraction, c: ChainSize) -> None:
-    """Raise unless v is an element of the chain c."""
-    if v < _ZERO or v > _ONE:
+    """Raise unless v is an element of the chain c.
+
+    A Fraction is in lowest terms with a positive denominator, so v lies in
+    [0, 1] when 0 <= numerator <= denominator, and on the grid of L_n when
+    its denominator divides n - 1.
+    """
+    if v.numerator < 0 or v.numerator > v.denominator:
         raise OutOfRangeError(f"{v} is outside [0, 1]")
-    if c.is_finite and (v * (c.n - 1)).denominator != 1:
+    if c.is_finite and (c.n - 1) % v.denominator:
         raise NotInChainError(f"{v} is not a multiple of 1/{c.n - 1}")
 
 
 # The MV operations on Fractions, shared by every chain and the pointwise algebra code.
+# The truncations test a sum against 1 by its numerator and denominator, which is
+# cheaper than a Fraction comparison.
 
 def frac_oplus(a: Fraction, b: Fraction) -> Fraction:
-    return min(a + b, _ONE)
+    s = a + b
+    return _ONE if s.numerator > s.denominator else s
 
 
 def frac_neg(a: Fraction) -> Fraction:
@@ -73,7 +81,8 @@ def frac_neg(a: Fraction) -> Fraction:
 
 
 def frac_odot(a: Fraction, b: Fraction) -> Fraction:
-    return max(a + b - _ONE, _ZERO)
+    s = a + b
+    return s - _ONE if s.numerator > s.denominator else _ZERO
 
 
 FRAC_OPS = {

@@ -221,15 +221,19 @@ def _emit(result: CommandResult, fmt: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(least: int):
+    """argparse type for an int that must be at least `least`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
 
 
 class UsageError(ValueError):
@@ -265,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("count", "list"), default="count")
     p.add_argument(
         "--limit",
-        type=int,
+        type=_int_at_least(0),
         default=HOMS_LIST_LIMIT,
         help="list mode fails (exit 1) above this many maps (default: %(default)s)",
     )
@@ -278,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the verification suites")
     p.add_argument("--scale", choices=("small", "full"), default="small")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_positive_int, default=100)
-    p.add_argument("--bound", type=_positive_int, default=10 ** 6)
+    p.add_argument("--samples", type=_int_at_least(1), default=100)
+    p.add_argument("--bound", type=_int_at_least(1), default=10 ** 6)
     return parser
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, Mapping
 
@@ -30,7 +29,13 @@ from .chain import ChainSize, LINF, chain_subset
 from .multiset import EMMorphism, EMultiset, INF, _trusted_morphism
 
 SAMPLE_MAX_DENOMINATOR = 6
-FUNCTOR_CACHE_SIZE = 128  # a full selftest calls each functor on 84 distinct objects
+# the values k/q, 0 <= k <= q, that sample_elements draws for an infinite factor
+_SAMPLE_GRIDS = {
+    q: ChainSize(q + 1).values() for q in range(1, SAMPLE_MAX_DENOMINATOR + 1)
+}
+# Bound of the F_obj, H_obj, eta and epsilon caches: a full selftest calls
+# each of the four on 84 distinct objects.
+FUNCTOR_CACHE_SIZE = 128
 
 
 class HomError(AlgebraError):
@@ -49,6 +54,7 @@ class ContinuousHom:
     source: ProductAlgebra
     target: ProductAlgebra
     index_map: tuple[tuple[str, str], ...]
+    map: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         as_dict = dict(self.index_map)
@@ -61,16 +67,13 @@ class ContinuousHom:
                 raise HomError(
                     f"{self.source.chain(x)} is not a subchain of {self.target.chain(y)}"
                 )
-
-    @cached_property
-    def map(self) -> dict[str, str]:
-        return dict(self.index_map)
+        object.__setattr__(self, "map", as_dict)
 
     @cached_property
     def source_positions(self) -> tuple[int, ...]:
         """For each target coordinate, the position of its source coordinate."""
-        pos = self.source.positions
-        return tuple(pos[self.map[y]] for y in self.target.labels)
+        pos, m = self.source.positions, self.map
+        return tuple(pos[m[y]] for y in self.target.labels)
 
 
 def _trusted_hom(
@@ -87,9 +90,7 @@ def _trusted_hom(
     through ContinuousHom or make_hom, which validate.
     """
     h = object.__new__(ContinuousHom)
-    object.__setattr__(h, "source", source)
-    object.__setattr__(h, "target", target)
-    object.__setattr__(h, "index_map", index_map)
+    h.__dict__.update(source=source, target=target, index_map=index_map, map=dict(index_map))
     return h
 
 
@@ -112,9 +113,10 @@ def projection(A: ProductAlgebra, label: str) -> ContinuousHom:
 
 
 def apply_hom(h: ContinuousHom, f: Element) -> Element:
-    if f.algebra != h.source:
+    if f.algebra is not h.source and f.algebra != h.source:
         raise AlgebraMismatchError("element does not belong to the hom's source")
-    return _trusted_element(h.target, tuple(f.coords[i] for i in h.source_positions))
+    coords = f.coords
+    return _trusted_element(h.target, tuple([coords[i] for i in h.source_positions]))
 
 
 def compose_homs(g: ContinuousHom, h: ContinuousHom) -> ContinuousHom:
@@ -179,11 +181,13 @@ def H_mor(psi: ContinuousHom) -> EMMorphism:
     return _trusted_morphism(H_obj(psi.target), H_obj(psi.source), tuple(psi.index_map))
 
 
+@lru_cache(maxsize=FUNCTOR_CACHE_SIZE)
 def eta(X: EMultiset) -> EMMorphism:
     """The unit X -> H(F(X)): each point goes to its own projection point."""
     return _trusted_morphism(X, H_obj(F_obj(X)), tuple((x, x) for x in X.labels))
 
 
+@lru_cache(maxsize=FUNCTOR_CACHE_SIZE)
 def epsilon(A: ProductAlgebra) -> ContinuousHom:
     """The counit A -> F(H(A)): the canonical coordinate bijection."""
     return _trusted_hom(A, F_obj(H_obj(A)), tuple((x, x) for x in A.labels))
@@ -203,15 +207,16 @@ def check_naturality_eq1(phi: EMMorphism) -> bool:
 def sample_elements(A: ProductAlgebra, count: int, seed: int) -> list[Element]:
     """Deterministic rational samples; infinite factors draw small denominators."""
     rng = random.Random(seed)
+    grids = [c.values() if c.is_finite else None for _, c in A.factors]
     out = []
     for _ in range(count):
         coords = []
-        for _, c in A.factors:
-            if c.is_finite:
-                coords.append(Fraction(rng.randrange(c.n), c.n - 1))
+        for grid in grids:
+            if grid is not None:
+                coords.append(grid[rng.randrange(len(grid))])
             else:
                 q = rng.randint(1, SAMPLE_MAX_DENOMINATOR)
-                coords.append(Fraction(rng.randint(0, q), q))
+                coords.append(_SAMPLE_GRIDS[q][rng.randint(0, q)])
         out.append(_trusted_element(A, tuple(coords)))
     return out
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping
 
@@ -56,6 +56,15 @@ class EMultiset:
             raise MultisetError(f"duplicate point labels in {labels}")
         for _, m in self.points:
             _check_mult(m)
+        object.__setattr__(self, "_hash", hash(self.points))
+
+    def __hash__(self) -> int:
+        """The hash stored at construction: functor-cache lookups skip the nested tuple."""
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: string hashes differ between processes
+        return EMultiset, (self.points,)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -73,6 +82,7 @@ class EMMorphism:
     source: EMultiset
     target: EMultiset
     mapping: tuple[tuple[str, str], ...]
+    map: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         as_dict = dict(self.mapping)
@@ -86,10 +96,7 @@ class EMMorphism:
                     f"multiplicity {self.target.mults[y]} of {y!r} does not divide "
                     f"{self.source.mults[x]} of {x!r}"
                 )
-
-    @cached_property
-    def map(self) -> dict[str, str]:
-        return dict(self.mapping)
+        object.__setattr__(self, "map", as_dict)
 
 
 def _trusted_morphism(
@@ -106,9 +113,7 @@ def _trusted_morphism(
     through EMMorphism, which validates.
     """
     phi = object.__new__(EMMorphism)
-    object.__setattr__(phi, "source", source)
-    object.__setattr__(phi, "target", target)
-    object.__setattr__(phi, "mapping", mapping)
+    phi.__dict__.update(source=source, target=target, mapping=mapping, map=dict(mapping))
     return phi
 
 

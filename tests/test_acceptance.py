@@ -33,15 +33,15 @@ def test_02_ideal_oracle_and_principality_report():
 
 
 def test_03_hom_oracle_agreement():
-    _run(verify.suite_hom_oracle, 5, 134, bound=10 ** 6)
+    _run(verify.suite_hom_oracle, 1, 134, bound=10 ** 6)
 
 
 def test_04_duality_counts_functor_laws_naturality():
-    _run(verify.suite_duality, 10, 67370)
+    _run(verify.suite_duality, 4, 67370)
 
 
 def test_05_unit_and_counit_isomorphisms():
-    _run(verify.suite_eta_epsilon, 30, 420, samples=100, seed=0)
+    _run(verify.suite_eta_epsilon, 1, 420, samples=100, seed=0)
 
 
 def test_06_surjectivity_criterion():

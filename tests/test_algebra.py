@@ -29,7 +29,7 @@ from chmv.algebra import (
     unit,
     zero,
 )
-from chmv.chain import ChainError, ChainSize, LINF
+from chmv.chain import ChainError, ChainSize, LINF, frac_neg, frac_oplus
 
 
 L2xL3 = make_algebra([("a", ChainSize(2)), ("b", ChainSize(3))])
@@ -261,10 +261,26 @@ def test_oracles_share_one_set_of_cayley_tables_per_algebra():
             assert call() == expected
     info = algebra._op_tables.cache_info()
     assert info.misses == 3  # L2xL3, L3xL2 and L3
-    elems, opl, neg, zero_idx = algebra._op_tables(L3xL2)
+    elems, opl, neg = algebra._op_tables(L3xL2)
     assert type(elems) is tuple and type(opl) is tuple and type(neg) is tuple
     assert all(type(row) is tuple for row in opl)
-    assert elems[zero_idx] == zero(L3xL2)
+    assert elems[0] == zero(L3xL2)
+
+
+@pytest.mark.parametrize("max_size", [None, 16])
+def test_integer_cayley_tables_match_fraction_arithmetic(max_size):
+    """The digit arithmetic of _op_tables against frac_oplus/frac_neg on coordinates."""
+    family = verify.algebra_family(max_size=max_size)
+    assert any(not A.factors for A in family)  # the empty product is covered
+    for A in family:
+        elems, opl, neg = algebra._op_tables(A)
+        assert elems == tuple(enumerate_elements(A))
+        index = {e.coords: i for i, e in enumerate(elems)}
+        assert index[zero(A).coords] == 0
+        for i, e in enumerate(elems):
+            assert neg[i] == index[tuple(map(frac_neg, e.coords))], (A, e)
+            for j, f in enumerate(elems):
+                assert opl[i][j] == index[tuple(map(frac_oplus, e.coords, f.coords))], (A, e, f)
 
 
 def test_brute_force_homs_are_homomorphisms():

@@ -290,6 +290,10 @@ def test_determinism(capsys):
         ([], "the following arguments are required: command"),
         (["homs", "L2", "--", "--"], "expected one argument after '--'"),
         (["selftest", "--inject-fault"], "unrecognized arguments: --inject-fault"),
+        (
+            ["homs", "L3", "L2", "--mode", "list", "--limit", "-1"],
+            "argument --limit: must be at least 0, got -1",
+        ),
     ],
 )
 def test_usage_errors_exit_1_with_usage_on_stderr(capsys, argv, message):

@@ -2,11 +2,19 @@
 
 Public constructors and parsers still reject invalid input; every element,
 hom and morphism the library derives from valid ones passes full validation
-when rebuilt through the public class.
+when rebuilt through the public class, and equals and hashes like its rebuild.
+Algebras and multisets store their hash, so copies and pickles rebuild them
+through the constructor.
 """
 
+import copy
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,11 +132,21 @@ def revalidated_element(e):
 
 
 def revalidated_hom(h):
-    return ContinuousHom(h.source, h.target, h.index_map) == h
+    rebuilt = ContinuousHom(h.source, h.target, h.index_map)
+    return (
+        h.map == dict(h.index_map) == rebuilt.map
+        and rebuilt == h
+        and hash(rebuilt) == hash(h)
+    )
 
 
 def revalidated_morphism(phi):
-    return EMMorphism(phi.source, phi.target, phi.mapping) == phi
+    rebuilt = EMMorphism(phi.source, phi.target, phi.mapping)
+    return (
+        phi.map == dict(phi.mapping) == rebuilt.map
+        and rebuilt == phi
+        and hash(rebuilt) == hash(phi)
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,3 +188,41 @@ def test_morphisms_revalidate(X, Y, Z):
     built += [compose_morphisms(psi, phi) for phi in first for psi in second]
     assert all(revalidated_morphism(phi) for phi in built)
     assert all(revalidated_hom(F_mor(phi)) for phi in built)
+
+
+# --- stored hashes survive copies and pickles ------------------------------------
+
+HASHED = [
+    make_algebra([("x1", ChainSize(3)), ("x2", LINF)]),
+    make_algebra([]),
+    EMultiset((("a", 2), ("b", INF))),
+    EMultiset(()),
+]
+
+
+@pytest.mark.parametrize("obj", HASHED, ids=repr)
+def test_copies_keep_equality_and_hash(obj):
+    for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert clone == obj and hash(clone) == hash(obj)
+        assert {obj: True}[clone]
+
+
+def test_pickles_from_another_hash_seed_are_found_as_keys():
+    """A hash stored in one process would be stale in another: string hashes are salted."""
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import pickle, sys\n"
+        "from chmv.algebra import make_algebra\n"
+        "from chmv.chain import ChainSize, LINF\n"
+        "from chmv.multiset import EMultiset, INF\n"
+        "objs = [make_algebra([('x1', ChainSize(3)), ('x2', LINF)]), make_algebra([]),\n"
+        "        EMultiset((('a', 2), ('b', INF))), EMultiset(())]\n"
+        "sys.stdout.buffer.write(pickle.dumps((hash('x1'), objs)))\n"
+    )
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    their_label_hash, objs = pickle.loads(out.stdout)
+    assert their_label_hash != hash("x1")  # the two processes salt strings differently
+    lookup = {obj: i for i, obj in enumerate(HASHED)}
+    assert [lookup[obj] for obj in objs] == [0, 1, 2, 3]
