@@ -143,8 +143,9 @@ def _trusted_element(A: ProductAlgebra, coords: tuple[Fraction, ...]) -> Element
 
     Only for coordinates that lie in their chains by construction:
     0 and 1 belong to every chain (zero, unit, characteristic); chains are
-    closed under the MV operations (pointwise_op); enumerate_elements and
-    sample_elements draw from each chain's own grid; apply_hom reads a
+    closed under the MV operations, so pointwise_op, and eval_term at the
+    root of a term over validated bindings, need no check; enumerate_elements
+    and sample_elements draw from each chain's own grid; apply_hom reads a
     coordinate of a chain included in the target chain.  Input from outside
     the package goes through Element or make_element, which validate.
     """
@@ -185,14 +186,13 @@ def pointwise_op(kind: str, f: Element, g: Element | None = None) -> Element:
     if kind == "neg":
         if g is not None:
             raise AlgebraError("neg takes a single operand")
-        return _trusted_element(f.algebra, tuple(frac_neg(v) for v in f.coords))
+        return _trusted_element(f.algebra, tuple(map(frac_neg, f.coords)))
     if kind not in FRAC_OPS:
         raise AlgebraError(f"unknown operation {kind!r}")
     if g is None:
         raise AlgebraError(f"{kind} needs two operands")
     _same_algebra(f, g)
-    op = FRAC_OPS[kind]
-    return _trusted_element(f.algebra, tuple(op(a, b) for a, b in zip(f.coords, g.coords)))
+    return _trusted_element(f.algebra, tuple(map(FRAC_OPS[kind], f.coords, g.coords)))
 
 
 def leq_elem(f: Element, g: Element) -> bool:

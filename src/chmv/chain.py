@@ -67,29 +67,43 @@ def check_member(v: Fraction, c: ChainSize) -> None:
         raise NotInChainError(f"{v} is not a multiple of 1/{c.n - 1}")
 
 
-# The MV operations on Fractions, shared by every chain and the pointwise algebra code.
-# The truncations test a sum against 1 by its numerator and denominator, which is
-# cheaper than a Fraction comparison.
+# The MV operations on Fractions: the one set of kernels behind mv_op, pointwise_op
+# and eval_term.  They cross-multiply numerators and denominators, compare integers
+# and build at most one Fraction, skipping the generic Fraction arithmetic; meet and
+# join return an operand (the first on a tie), like min and max.  The values equal
+# min(a+b, 1), max(a+b-1, 0), 1-a, min and max on every Fraction, even outside [0, 1].
 
 def frac_oplus(a: Fraction, b: Fraction) -> Fraction:
-    s = a + b
-    return _ONE if s.numerator > s.denominator else s
+    ad, bd = a.denominator, b.denominator
+    n, d = a.numerator * bd + b.numerator * ad, ad * bd
+    return _ONE if n >= d else Fraction(n, d)
 
 
 def frac_neg(a: Fraction) -> Fraction:
-    return _ONE - a
+    d = a.denominator
+    return Fraction(d - a.numerator, d)
 
 
 def frac_odot(a: Fraction, b: Fraction) -> Fraction:
-    s = a + b
-    return s - _ONE if s.numerator > s.denominator else _ZERO
+    ad, bd = a.denominator, b.denominator
+    d = ad * bd
+    n = a.numerator * bd + b.numerator * ad - d
+    return Fraction(n, d) if n > 0 else _ZERO
+
+
+def frac_meet(a: Fraction, b: Fraction) -> Fraction:
+    return a if a.numerator * b.denominator <= b.numerator * a.denominator else b
+
+
+def frac_join(a: Fraction, b: Fraction) -> Fraction:
+    return b if a.numerator * b.denominator < b.numerator * a.denominator else a
 
 
 FRAC_OPS = {
     "oplus": frac_oplus,
     "odot": frac_odot,
-    "meet": min,
-    "join": max,
+    "meet": frac_meet,
+    "join": frac_join,
 }
 
 

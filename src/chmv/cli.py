@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -114,12 +115,27 @@ def cmd_homs(
     return CommandResult("ok", {"count": len(listing), "homs": listing})
 
 
+# Fraction() also reads exponent notation and builds the power of ten in full,
+# so a coordinate such as 1e-999999999 would never return; it is refused first.
+_EXPONENT_RE = re.compile(
+    r"[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?[eE][-+]?\d+(?:_\d+)*"
+)
+
+
+def _parse_coordinate(text: str) -> Fraction:
+    if _EXPONENT_RE.fullmatch(text):
+        raise ValueError(
+            f"coordinate {text!r} uses exponent notation; write an integer, p/q or a decimal"
+        )
+    return Fraction(text)
+
+
 def _parse_element(text: str, A: alg.ProductAlgebra) -> alg.Element:
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     parts = [p.strip() for p in body.split(",")] if body else []
-    return alg.make_element(A, [Fraction(p) for p in parts])
+    return alg.make_element(A, [_parse_coordinate(p) for p in parts])
 
 
 def cmd_eval(term_text: str, algebra_text: str, env_text: str) -> CommandResult:

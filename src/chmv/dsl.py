@@ -13,17 +13,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
-from .algebra import (
-    AlgebraError,
-    Element,
-    ProductAlgebra,
-    make_algebra,
-    pointwise_op,
-    unit,
-    zero,
-)
-from .chain import ChainError, ChainSize, LINF
+from .algebra import AlgebraError, Element, ProductAlgebra, _trusted_element, make_algebra
+from .chain import _ONE, _ZERO, ChainError, ChainSize, FRAC_OPS, LINF, frac_neg
 from .multiset import EMultiset, INF, MultisetError, Mult
 
 
@@ -44,8 +38,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     position: int
 
@@ -265,24 +258,37 @@ def _parse_atom(cur: _Cursor, depth: int) -> Term:
 
 
 def eval_term(t: Term, env: dict[str, Element], A: ProductAlgebra) -> Element:
-    """Evaluate by structural recursion; implication runs as ~a (+) b."""
-    if isinstance(t, Const):
-        return unit(A) if t.value else zero(A)
-    if isinstance(t, Var):
+    """Evaluate by structural recursion; implication runs as ~a (+) b.
+
+    The recursion works on coordinate tuples, mapping the chain kernels over
+    them, and builds one Element at the root.  Variables are checked left to
+    right: the first unbound one, or bound outside A, raises.
+    """
+    return _trusted_element(A, _eval_coords(t, env, A))
+
+
+def _eval_coords(t: Term, env: dict[str, Element], A: ProductAlgebra) -> tuple[Fraction, ...]:
+    kind = type(t)
+    if kind is BinOp:
+        left = _eval_coords(t.left, env, A)
+        right = _eval_coords(t.right, env, A)
+        if t.op == "implies":
+            return tuple(map(FRAC_OPS["oplus"], map(frac_neg, left), right))
+        op = FRAC_OPS.get(t.op)
+        if op is None:
+            raise AlgebraError(f"unknown operation {t.op!r}")
+        return tuple(map(op, left, right))
+    if kind is Var:
         if t.name not in env:
             raise UnboundVariableError(f"variable {t.name!r} is not bound")
         value = env[t.name]
-        if value.algebra != A:
+        if value.algebra is not A and value.algebra != A:
             raise AlgebraError(f"binding for {t.name!r} lives in a different algebra")
-        return value
-    if isinstance(t, Neg):
-        return pointwise_op("neg", eval_term(t.arg, env, A))
-    if isinstance(t, BinOp):
-        left = eval_term(t.left, env, A)
-        right = eval_term(t.right, env, A)
-        if t.op == "implies":
-            return pointwise_op("oplus", pointwise_op("neg", left), right)
-        return pointwise_op(t.op, left, right)
+        return value.coords
+    if kind is Neg:
+        return tuple(map(frac_neg, _eval_coords(t.arg, env, A)))
+    if kind is Const:
+        return (_ONE if t.value else _ZERO,) * len(A.factors)
     raise TypeError(f"not a term: {t!r}")
 
 

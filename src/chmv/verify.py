@@ -286,8 +286,7 @@ def suite_eta_epsilon(
         else:
             elems = dual.sample_elements(A, samples, seed)
         ok = all(
-            tuple(dual.apply_hom(eps, f).coord(x) for x in A.labels) == f.coords
-            for f in elems
+            tuple(map(dual.apply_hom(eps, f).coord, A.labels)) == f.coords for f in elems
         )
         rec.check(ok, lambda: f"epsilon coordinatewise on {dsl.render(A) or '[]'}")
     return rec.result

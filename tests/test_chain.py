@@ -2,16 +2,20 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chmv.chain import (
     ChainSize,
     ChainError,
+    FRAC_OPS,
     LINF,
     NotInChainError,
     OutOfRangeError,
     chain_subset,
     check_member,
+    frac_neg,
+    frac_odot,
+    frac_oplus,
     mv_op,
 )
 
@@ -54,6 +58,33 @@ def test_neg():
 def test_odot():
     v = Fraction(2, 3)
     assert mv_op("odot", v, v) == Fraction(1, 3)
+
+
+# any Fraction, also negative or above 1: mv_op hands its operands on unchecked
+any_fractions = st.one_of(
+    st.fractions(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+)
+
+
+@settings(max_examples=500)
+@given(any_fractions, any_fractions)
+def test_kernels_equal_their_definitions(a, b):
+    one, zero = Fraction(1), Fraction(0)
+    for got, want in [
+        (frac_oplus(a, b), min(a + b, one)),
+        (frac_odot(a, b), max(a + b - one, zero)),
+        (frac_neg(a), one - a),
+    ]:
+        assert type(got) is Fraction
+        assert got == want
+    # meet and join return the very operand min and max return, also on ties
+    assert FRAC_OPS["meet"](a, b) is min(a, b)
+    assert FRAC_OPS["join"](a, b) is max(a, b)
+    tie = Fraction(a.numerator, a.denominator)
+    assert FRAC_OPS["meet"](a, tie) is min(a, tie) is a
+    assert FRAC_OPS["join"](tie, a) is max(tie, a) is tie
 
 
 def test_mv_op_rejects_unknown_kind_and_wrong_arity():

@@ -208,6 +208,33 @@ def test_eval_too_deep_is_domain_error(capsys, term):
     assert "deeper than" in err
 
 
+@pytest.mark.parametrize("coord", ["1e-300000", "5E-1", ".5e0", "1.e+2", "-2e0", "1_0e1"])
+def test_eval_exponent_coordinate_fails_fast_and_names_it(capsys, coord):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "x", "--algebra", "L2 * Linf", "--env", f"x=(1, {coord})")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.strip() == (
+        f"coordinate {coord!r} uses exponent notation; write an integer, p/q or a decimal"
+    )
+
+
+@pytest.mark.parametrize(
+    "env, coords",
+    [
+        ("x=(1, 1)", {"x1": "1", "x2": "1"}),
+        ("x=(0, 1/3)", {"x1": "0", "x2": "1/3"}),
+        ("x=(1, 0.25)", {"x1": "1", "x2": "1/4"}),
+        ("x=(0, .5)", {"x1": "0", "x2": "1/2"}),
+    ],
+)
+def test_eval_reads_integer_fraction_and_decimal_coordinates(capsys, env, coords):
+    code, doc, _ = run_json(capsys, "eval", "x", "--algebra", "L2 * Linf", "--env", env)
+    assert code == EXIT_OK
+    assert doc["payload"] == {"coords": coords}
+
+
 def test_file_input(capsys, tmp_path):
     spec = tmp_path / "alg.txt"
     spec.write_text("L2 * L3\n")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chmv.algebra import enumerate_elements, make_algebra, make_element, unit
+from chmv.algebra import AlgebraError, enumerate_elements, make_algebra, make_element, unit
 from chmv.chain import ChainSize, LINF
 from chmv.dsl import (
     BinOp,
@@ -202,6 +202,74 @@ def test_eval_algebra_mismatch():
     B = parse_algebra("L3")
     with pytest.raises(ValueError):
         eval_term(parse_term("x"), {"x": unit(B)}, A)
+
+
+REF_OPS = {
+    "oplus": lambda a, b: min(a + b, Fraction(1)),
+    "odot": lambda a, b: max(a + b - 1, Fraction(0)),
+    "meet": min,
+    "join": max,
+    "implies": lambda a, b: min(1 - a + b, Fraction(1)),
+}
+
+
+def ref_eval(t, env, i):
+    """The value of t at coordinate i, straight from the definitions."""
+    if isinstance(t, Const):
+        return Fraction(t.value)
+    if isinstance(t, Var):
+        return env[t.name].coords[i]
+    if isinstance(t, Neg):
+        return 1 - ref_eval(t.arg, env, i)
+    return REF_OPS[t.op](ref_eval(t.left, env, i), ref_eval(t.right, env, i))
+
+
+@st.composite
+def algebras_with_bindings(draw):
+    """A product of L2..L7 and Linf with elements bound to x, y and z."""
+    sizes = draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, 7, None]), min_size=1, max_size=4))
+    A = make_algebra(
+        (f"x{i + 1}", LINF if n is None else ChainSize(n)) for i, n in enumerate(sizes)
+    )
+
+    def coord(n):
+        if n is None:
+            return st.fractions(min_value=0, max_value=1, max_denominator=60)
+        return st.integers(0, n - 1).map(lambda k: Fraction(k, n - 1))
+
+    env = {
+        name: make_element(A, [draw(coord(n)) for n in sizes]) for name in "xyz"
+    }
+    return A, env
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms, algebras_with_bindings())
+def test_eval_term_matches_a_per_coordinate_reference(t, bound):
+    A, env = bound
+    value = eval_term(t, env, A)
+    assert value.algebra == A
+    assert value.coords == tuple(ref_eval(t, env, i) for i in range(len(A.factors)))
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("u (+) ~v", UnboundVariableError, "variable 'u' is not bound"),
+        ("1 (.) ~~v -> u", UnboundVariableError, "variable 'v' is not bound"),
+        ("x (+) b -> u", AlgebraError, "binding for 'b' lives in a different algebra"),
+        ("x /\\ (u \\/ b)", UnboundVariableError, "variable 'u' is not bound"),
+        ("~(~b (.) x) \\/ u", AlgebraError, "binding for 'b' lives in a different algebra"),
+        ("(x -> (x (+) v)) /\\ (b (.) u)", UnboundVariableError, "variable 'v' is not bound"),
+    ],
+)
+def test_eval_error_comes_from_the_leftmost_offending_variable(text, error, message):
+    A, B = parse_algebra("L3 * L2"), parse_algebra("L3")
+    env = {"x": unit(A), "b": unit(B)}  # u and v are unbound, b lives in B
+    with pytest.raises(ValueError) as info:
+        eval_term(parse_term(text), env, A)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_render_algebra():
