@@ -39,7 +39,6 @@ from .multiset import (
     compose_morphisms,
     enumerate_morphisms,
     identity_morphism,
-    is_isomorphic,
     make_profile,
     profile_of,
 )

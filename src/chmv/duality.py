@@ -26,7 +26,7 @@ from .algebra import (
     enumerate_elements,
 )
 from .chain import ChainSize, LINF, chain_subset
-from .multiset import EMMorphism, EMultiset, INF, _trusted_morphism
+from .multiset import EMMorphism, EMultiset, INF, _trusted_morphism, compose_morphisms
 
 SAMPLE_MAX_DENOMINATOR = 6
 # the values k/q, 0 <= k <= q, that sample_elements draws for an infinite factor
@@ -48,7 +48,8 @@ class ContinuousHom:
 
     index_map sends each target coordinate y to a source coordinate x with
     the chain at x included in the chain at y; the hom acts on elements by
-    f |-> f o index_map.
+    f |-> f o index_map.  The constructor lists the pairs in the order of
+    target.labels, so == and hash are equality of maps.
     """
 
     source: ProductAlgebra
@@ -67,6 +68,7 @@ class ContinuousHom:
                 raise HomError(
                     f"{self.source.chain(x)} is not a subchain of {self.target.chain(y)}"
                 )
+        object.__setattr__(self, "index_map", tuple((y, as_dict[y]) for y in self.target.labels))
         object.__setattr__(self, "map", as_dict)
 
     @cached_property
@@ -81,7 +83,8 @@ def _trusted_hom(
 ) -> ContinuousHom:
     """Build a ContinuousHom without re-running the checks of __post_init__.
 
-    Only for index maps that are total and chain-including by construction:
+    Only for index maps that list the target labels in order, as
+    __post_init__ does, and are total and chain-including by construction:
     identities and the unit/counit reindexings, which pair each coordinate
     with an equal chain; enumerate_continuous_homs, which keeps only
     admissible sources; compose_homs, since chain inclusion is transitive;
@@ -97,9 +100,7 @@ def _trusted_hom(
 def make_hom(
     source: ProductAlgebra, target: ProductAlgebra, index_map: Mapping[str, str]
 ) -> ContinuousHom:
-    return ContinuousHom(
-        source, target, tuple((y, index_map[y]) for y in target.labels if y in index_map)
-    )
+    return ContinuousHom(source, target, tuple(index_map.items()))
 
 
 def identity_hom(A: ProductAlgebra) -> ContinuousHom:
@@ -197,11 +198,9 @@ def epsilon(A: ProductAlgebra) -> ContinuousHom:
 
 def check_naturality_eq1(phi: EMMorphism) -> bool:
     """Does H(F(phi)) after the unit equal the unit after phi, as point maps?"""
-    from .multiset import compose_morphisms
-
     lhs = compose_morphisms(H_mor(F_mor(phi)), eta(phi.source))
     rhs = compose_morphisms(eta(phi.target), phi)
-    return lhs.source == rhs.source and lhs.target == rhs.target and lhs.map == rhs.map
+    return lhs == rhs
 
 
 def sample_elements(A: ProductAlgebra, count: int, seed: int) -> list[Element]:
@@ -230,8 +229,7 @@ def check_naturality_eq2(psi: ContinuousHom) -> bool:
     that is 0 at i and 1 at j tells them apart (every chain holds 0 and 1,
     and the coordinates of a product vary independently).
     """
-    B, A = psi.source, psi.target
-    lhs = compose_homs(F_mor(H_mor(psi)), epsilon(B))
-    rhs = compose_homs(epsilon(A), psi)
-    return lhs.target == rhs.target and lhs.source_positions == rhs.source_positions
+    lhs = compose_homs(F_mor(H_mor(psi)), epsilon(psi.source))
+    rhs = compose_homs(epsilon(psi.target), psi)
+    return lhs == rhs
 

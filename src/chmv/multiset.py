@@ -77,7 +77,11 @@ class EMultiset:
 
 @dataclass(frozen=True)
 class EMMorphism:
-    """A point map whose target multiplicities divide the finite source ones."""
+    """A point map whose target multiplicities divide the finite source ones.
+
+    The constructor lists the pairs in the order of source.labels, so == and
+    hash are equality of maps.
+    """
 
     source: EMultiset
     target: EMultiset
@@ -96,6 +100,7 @@ class EMMorphism:
                     f"multiplicity {self.target.mults[y]} of {y!r} does not divide "
                     f"{self.source.mults[x]} of {x!r}"
                 )
+        object.__setattr__(self, "mapping", tuple((x, as_dict[x]) for x in self.source.labels))
         object.__setattr__(self, "map", as_dict)
 
 
@@ -104,13 +109,14 @@ def _trusted_morphism(
 ) -> EMMorphism:
     """Build an EMMorphism without re-running the checks of __post_init__.
 
-    Only for maps that are total and divisibility-respecting by
-    construction: identities and the unit reindexing, which pair each point
-    with one of equal multiplicity; enumerate_morphisms, which keeps only
-    admissible images; compose_morphisms, since divisibility is transitive;
-    and H_mor, where a hom's chain inclusion L(n) <= L(m) is exactly the
-    divisibility (n - 1) | (m - 1).  Input from outside the package goes
-    through EMMorphism, which validates.
+    Only for maps that list the source labels in order, as __post_init__
+    does, and are total and divisibility-respecting by construction:
+    identities and the unit reindexing, which pair each point with one of
+    equal multiplicity; enumerate_morphisms, which keeps only admissible
+    images; compose_morphisms, since divisibility is transitive; and H_mor,
+    where a hom's chain inclusion L(n) <= L(m) is exactly the divisibility
+    (n - 1) | (m - 1).  Input from outside the package goes through
+    EMMorphism, which validates.
     """
     phi = object.__new__(EMMorphism)
     phi.__dict__.update(source=source, target=target, mapping=mapping, map=dict(mapping))
@@ -150,7 +156,8 @@ def morphism_count(X: EMultiset, Y: EMultiset) -> int:
 class Profile:
     """Fiber summary of a multiset: multiplicity -> cardinality (INF for an infinite fiber).
 
-    Equality of profiles is isomorphism of the underlying multisets, i.e.
+    The constructor lists the entries by increasing multiplicity, INF last,
+    so equality of profiles is isomorphism of the underlying multisets, i.e.
     existence of a multiplicity-preserving bijection.
     """
 
@@ -163,6 +170,8 @@ class Profile:
         for m, c in self.entries:
             _check_mult(m)
             _check_mult(c, "cardinality")
+        ordered = tuple(sorted(self.entries, key=lambda mc: (mc[0] == INF, mc[0])))
+        object.__setattr__(self, "entries", ordered)
 
     @cached_property
     def table(self) -> dict[Mult, Mult]:
@@ -174,14 +183,9 @@ class Profile:
 
 
 def make_profile(entries: Mapping[Mult, Mult]) -> Profile:
-    ordered = tuple(sorted(entries.items(), key=lambda kv: (kv[0] == INF, kv[0])))
-    return Profile(ordered)
+    return Profile(tuple(entries.items()))
 
 
 def profile_of(X: EMultiset) -> Profile:
     return make_profile(Counter(m for _, m in X.points))
-
-
-def is_isomorphic(P: Profile, Q: Profile) -> bool:
-    return P.table == Q.table
 

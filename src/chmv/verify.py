@@ -253,9 +253,10 @@ def suite_duality(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3) -> SuiteResult:
 
 # --- suite 5: unit and counit isomorphisms ---------------------------------------
 
-def suite_eta_epsilon(
-    mults=(1, 2, 3, 4, 6, ms.INF), max_points=3, samples=100, seed=0
-) -> SuiteResult:
+EPSILON_SAMPLES = 100  # elements drawn where the counit cannot be checked on all of A
+
+
+def suite_eta_epsilon(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3, seed=0) -> SuiteResult:
     rec = _Recorder("eta-epsilon")
     for X in multiset_family(max_points, mults):
         e = dual.eta(X)
@@ -270,7 +271,7 @@ def suite_eta_epsilon(
             lambda: f"eta multiplicity-preserving on {dsl.render(X)}",
         )
         rec.check(
-            ms.is_isomorphic(ms.profile_of(round_trip), ms.profile_of(X)),
+            ms.profile_of(round_trip) == ms.profile_of(X),
             lambda: f"profile equality for {dsl.render(X)}",
         )
         inverse = ms.EMMorphism(round_trip, X, tuple((y, y) for y in round_trip.labels))
@@ -284,7 +285,7 @@ def suite_eta_epsilon(
         if A.all_finite and A.size <= 2500:
             elems = list(alg.enumerate_elements(A))
         else:
-            elems = dual.sample_elements(A, samples, seed)
+            elems = dual.sample_elements(A, EPSILON_SAMPLES, seed)
         ok = all(
             tuple(map(dual.apply_hom(eps, f).coord, A.labels)) == f.coords for f in elems
         )
@@ -325,12 +326,9 @@ def suite_lifting(instances=100, seed=0) -> SuiteResult:
         c_factors = [(f"c{j + 1}", c) for j, c in enumerate(b_chains + extras)]
         rng.shuffle(c_factors)
         C = alg.make_algebra(c_factors)
-        hit_labels = {c: lbl for lbl, c in c_factors}
-        used = set()
         psi_map = {}
         for j, bc in enumerate(b_chains):
-            x = next(lbl for lbl, c in c_factors if c == bc and lbl not in used)
-            used.add(x)
+            x = next(lbl for lbl, c in c_factors if c == bc and lbl not in psi_map.values())
             psi_map[f"b{j + 1}"] = x
         psi = dual.make_hom(C, B, psi_map)
 
@@ -344,10 +342,7 @@ def suite_lifting(instances=100, seed=0) -> SuiteResult:
 
         lifted = st.lift(phi, psi, "a1")
         composed = dual.compose_homs(psi, lifted)
-        rec.check(
-            composed.map == phi.map and composed.source == A and composed.target == B,
-            lambda: f"lift index maps at instance {i}",
-        )
+        rec.check(composed == phi, lambda: f"lift index maps at instance {i}")
         if A.all_finite and C.all_finite and A.size <= 512:
             ok = all(
                 dual.apply_hom(psi, dual.apply_hom(lifted, f)) == dual.apply_hom(phi, f)
@@ -554,16 +549,14 @@ def suite_dsl(max_size=36) -> SuiteResult:
 
 # --- runner ---------------------------------------------------------------------------
 
-def run_all(
-    scale: str = "full", seed: int = 0, samples: int = 100, bound: int = 10 ** 6
-) -> list[SuiteResult]:
+def run_all(scale: str = "full", seed: int = 0) -> list[SuiteResult]:
     if scale == "small":
         return [
             suite_mv_axioms(max_n=5, rational_pairs=200, seed=seed),
             suite_ideals(max_factors=2),
-            suite_hom_oracle(bound=min(bound, 10 ** 4)),
+            suite_hom_oracle(bound=10 ** 4),
             suite_duality(mults=(1, 2, ms.INF), max_points=2),
-            suite_eta_epsilon(mults=(1, 2, ms.INF), max_points=2, samples=samples, seed=seed),
+            suite_eta_epsilon(mults=(1, 2, ms.INF), max_points=2, seed=seed),
             suite_surjectivity(sizes=(2, 3)),
             suite_lifting(instances=20, seed=seed),
             suite_separation(max_points=3),
@@ -573,9 +566,9 @@ def run_all(
     return [
         suite_mv_axioms(seed=seed),
         suite_ideals(),
-        suite_hom_oracle(bound=bound),
+        suite_hom_oracle(),
         suite_duality(),
-        suite_eta_epsilon(samples=samples, seed=seed),
+        suite_eta_epsilon(seed=seed),
         suite_surjectivity(),
         suite_lifting(seed=seed),
         suite_separation(),

@@ -220,6 +220,35 @@ def test_eval_exponent_coordinate_fails_fast_and_names_it(capsys, coord):
     )
 
 
+# two coprime 3001-digit denominators: 1/P (+) 1/Q has a 6001-digit denominator
+P, Q = 10 ** 3000 + 1, 10 ** 3000 + 3
+
+
+@pytest.mark.parametrize(
+    "term, env, message",
+    [
+        ("x (+) y", f"x=(1/{P}); y=(1/{Q})", "result at 'x1'"),
+        ("x", "x=(1/1" + "0" * 5001 + ")", "binding 'x'"),  # 5002 digits: too long to read
+        ("x", "y=(0); x=(0." + "0" * 4299 + "1)", "binding 'x'"),  # reads as 1/10^4300
+    ],
+    ids=["result", "binding-5002-digits", "binding-decimal"],
+)
+def test_eval_refuses_coordinates_over_the_digit_limit(capsys, term, env, message):
+    code, out, err = run(capsys, "eval", term, "--algebra", "Linf", "--env", env)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.strip() == f"{message}: numerator or denominator longer than 4300 digits"
+
+
+def test_eval_accepts_coordinates_at_the_digit_limit(capsys):
+    code, doc, _ = run_json(capsys, "eval", "x (.) y", "--algebra", "Linf", "--env",
+                            f"x=(1/{P}); y=(1/{Q})")
+    assert code == EXIT_OK and doc["payload"] == {"coords": {"x1": "0"}}
+    largest = 10 ** 4300 - 1  # 4300 digits
+    code, doc, _ = run_json(capsys, "eval", "x", "--algebra", "Linf", "--env", f"x=(1/{largest})")
+    assert code == EXIT_OK and doc["payload"] == {"coords": {"x1": f"1/{largest}"}}
+
+
 @pytest.mark.parametrize(
     "env, coords",
     [
@@ -257,20 +286,15 @@ def test_selftest_small(capsys):
     assert len(lines) == 11  # ten suites plus the summary line
 
 
-@pytest.mark.parametrize("flag", ["--samples", "--bound"])
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_selftest_counts_below_1_are_usage_errors(capsys, flag, value):
-    code, out, err = run(capsys, "selftest", flag, value)
-    assert code == EXIT_DOMAIN
-    assert out == ""
-    assert err.startswith("usage: chmv selftest ")
-    assert f"error: argument {flag}: must be at least 1, got {value}" in err
-
-
-def test_selftest_counts_must_be_ints(capsys):
-    code, out, err = run(capsys, "selftest", "--samples", "1.5")
-    assert code == EXIT_DOMAIN
-    assert "error: argument --samples: invalid int value: '1.5'" in err
+def test_selftest_has_no_flag_that_checks_less(capsys):
+    """--samples and --bound are gone: every selftest run makes the same checks."""
+    for flag in ("--samples", "--bound"):
+        code, out, err = run(capsys, "selftest", "--scale", "small", flag, "1")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: chmv ")
+        assert error.endswith(f": error: unrecognized arguments: {flag} 1")
 
 
 def test_selftest_injected_fault(monkeypatch, capsys):

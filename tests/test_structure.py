@@ -146,7 +146,7 @@ def test_lift_example():
     lifted = lift(phi, psi, "a1")
     assert lifted.map == {"c1": "a2", "c2": "a1"}
     composed = compose_homs(psi, lifted)
-    assert composed.map == phi.map
+    assert composed == phi
     for f in enumerate_elements(A):
         assert apply_hom(psi, apply_hom(lifted, f)) == apply_hom(phi, f)
 

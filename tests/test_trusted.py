@@ -2,7 +2,8 @@
 
 Public constructors and parsers still reject invalid input; every element,
 hom and morphism the library derives from valid ones passes full validation
-when rebuilt through the public class, and equals and hashes like its rebuild.
+when rebuilt through the public class, and equals and hashes like its rebuild,
+so it lists its pairs in the canonical order the public class gives them.
 Algebras and multisets store their hash, so copies and pickles rebuild them
 through the constructor.
 """
@@ -87,6 +88,13 @@ def test_continuous_hom_and_make_hom_reject():
         make_hom(L3, L2, {"x": "y"})
     with pytest.raises(HomError):
         make_hom(L3, L2, {})
+
+
+def test_make_hom_rejects_a_label_outside_the_target():
+    L2 = make_algebra([("x", ChainSize(2))])
+    L3 = make_algebra([("y", ChainSize(3))])
+    with pytest.raises(HomError):
+        make_hom(L2, L3, {"y": "x", "z": "x"})
 
 
 def test_em_morphism_and_validate_morphism_reject():
