@@ -286,15 +286,27 @@ def test_selftest_small(capsys):
     assert len(lines) == 11  # ten suites plus the summary line
 
 
-def test_selftest_has_no_flag_that_checks_less(capsys):
-    """--samples and --bound are gone: every selftest run makes the same checks."""
-    for flag in ("--samples", "--bound"):
-        code, out, err = run(capsys, "selftest", "--scale", "small", flag, "1")
-        assert code == EXIT_DOMAIN
-        assert out == ""
-        usage, error = err.splitlines()
-        assert usage.startswith("usage: chmv ")
-        assert error.endswith(f": error: unrecognized arguments: {flag} 1")
+def assert_unrecognized(code, out, err, args):
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: chmv ")
+    assert error.endswith(f": error: unrecognized arguments: {args}")
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--bound"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_selftest_counts_below_1_are_usage_errors(capsys, flag, value):
+    """--samples and --bound are gone: every selftest run makes the same checks,
+    so any count, 1 or below it, is a usage error."""
+    for count in ("1", value):
+        code, out, err = run(capsys, "selftest", "--scale", "small", flag, count)
+        assert_unrecognized(code, out, err, f"{flag} {count}")
+
+
+def test_selftest_counts_must_be_ints(capsys):
+    code, out, err = run(capsys, "selftest", "--scale", "small", "--samples", "1.5")
+    assert_unrecognized(code, out, err, "--samples 1.5")
 
 
 def test_selftest_injected_fault(monkeypatch, capsys):
