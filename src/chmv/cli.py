@@ -30,6 +30,11 @@ EXIT_DOMAIN = 1
 EXIT_INTERNAL = 2
 
 HOMS_LIST_LIMIT = 10 ** 4  # default --limit: largest hom set that list mode enumerates
+# Python reads and prints integers of at most 4300 digits (the default of
+# sys.set_int_max_str_digits), so eval refuses longer numerators and denominators
+# and homs refuses longer counts.
+COORD_MAX_DIGITS = 4300
+_DIGITS_BOUND = 10 ** COORD_MAX_DIGITS
 
 
 @dataclass
@@ -37,6 +42,7 @@ class CommandResult:
     status: str  # "ok" or "error"
     payload: object = None
     diagnostics: list[str] = field(default_factory=list)
+    text: str | None = None  # what the text format prints; None prints the payload as JSON
 
     @property
     def exit_code(self) -> int:
@@ -56,14 +62,9 @@ def _parse_object(text: str):
     return dsl.parse_algebra(text)
 
 
-def _profile_of_input(obj) -> ms.Profile:
-    if isinstance(obj, ms.EMultiset):
-        return ms.profile_of(obj)
-    return ms.profile_of(dual.H_obj(obj))
-
-
-def cmd_classify(spec: str) -> CommandResult:
-    profile = _profile_of_input(_parse_object(spec))
+def cmd_classify(args: argparse.Namespace) -> CommandResult:
+    obj = _parse_object(_read_arg(args.spec))
+    profile = ms.profile_of(obj if isinstance(obj, ms.EMultiset) else dual.H_obj(obj))
     report = {
         "hyperarchimedean": st.is_hyperarchimedean(profile),
         "stone": st.is_stone(profile),
@@ -77,8 +78,8 @@ def cmd_classify(spec: str) -> CommandResult:
     return CommandResult("ok", report)
 
 
-def cmd_dual(spec: str) -> CommandResult:
-    obj = _parse_object(spec)
+def cmd_dual(args: argparse.Namespace) -> CommandResult:
+    obj = _parse_object(_read_arg(args.spec))
     if isinstance(obj, ms.EMultiset):
         out = dual.F_obj(obj)
         shape = " * ".join(str(c) for _, c in out.factors) if out.factors else "[]"
@@ -90,19 +91,19 @@ def cmd_dual(spec: str) -> CommandResult:
     return CommandResult("ok", {"dual": shape, "object": encoded})
 
 
-def cmd_homs(
-    src: str, dst: str, mode: str = "count", limit: int = HOMS_LIST_LIMIT
-) -> CommandResult:
-    """Count the maps by the product formula, or list them when there are at most `limit`."""
-    a, b = _parse_object(src), _parse_object(dst)
+def cmd_homs(args: argparse.Namespace) -> CommandResult:
+    """Count the maps by the product formula, or list them when there are at most --limit."""
+    a, b = _parse_object(_read_arg(args.src)), _parse_object(_read_arg(args.dst))
     if isinstance(a, ms.EMultiset) != isinstance(b, ms.EMultiset):
         raise ValueError("source and target must both be algebras or both multisets")
     count = ms.morphism_count if isinstance(a, ms.EMultiset) else dual.continuous_hom_count
     total = count(a, b)
-    if mode != "list":
+    if total >= _DIGITS_BOUND:
+        raise ValueError(f"the number of maps has more than {COORD_MAX_DIGITS} digits")
+    if args.mode != "list":
         return CommandResult("ok", {"count": total})
-    if total > limit:
-        raise ValueError(f"{total} maps exceed --limit {limit}; count them with --mode count")
+    if total > args.limit:
+        raise ValueError(f"{total} maps exceed --limit {args.limit}; count them with --mode count")
     if isinstance(a, ms.EMultiset):
         listing = [{"map": dict(m.mapping)} for m in ms.enumerate_morphisms(a, b)]
     else:
@@ -117,10 +118,6 @@ def cmd_homs(
 _EXPONENT_RE = re.compile(
     r"[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?[eE][-+]?\d+(?:_\d+)*"
 )
-# Python reads and prints integers of at most 4300 digits (the default of
-# sys.set_int_max_str_digits), so eval refuses longer numerators and denominators.
-COORD_MAX_DIGITS = 4300
-_DIGITS_BOUND = 10 ** COORD_MAX_DIGITS
 
 
 def _too_long(where: str) -> ValueError:
@@ -148,7 +145,8 @@ def _parse_element(text: str, A: alg.ProductAlgebra, where: str) -> alg.Element:
     return alg.make_element(A, [_parse_coordinate(p, where) for p in parts])
 
 
-def cmd_eval(term_text: str, algebra_text: str, env_text: str) -> CommandResult:
+def cmd_eval(args: argparse.Namespace) -> CommandResult:
+    term_text, algebra_text, env_text = _read_arg(args.term), _read_arg(args.algebra), args.env
     A = dsl.parse_algebra(algebra_text)
     term = dsl.parse_term(term_text)
     env = {}
@@ -170,19 +168,19 @@ def cmd_eval(term_text: str, algebra_text: str, env_text: str) -> CommandResult:
     )
 
 
-def cmd_selftest(scale: str = "small", seed: int = 0) -> CommandResult:
-    results = verify.run_all(scale, seed=seed)
-    payload = {
-        "suites": [
-            {"name": r.name, "ok": r.ok, "checks": r.checks, "failures": r.failures[:5]}
-            for r in results
-        ],
-        "ok": all(r.ok for r in results),
-    }
-    result = CommandResult("ok" if payload["ok"] else "error", payload)
-    if not payload["ok"]:
-        result.diagnostics = [r.line() for r in results if not r.ok]
-    return result
+def cmd_selftest(args: argparse.Namespace) -> CommandResult:
+    results = verify.run_all(args.scale, seed=args.seed)
+    ok = all(r.ok for r in results)
+    suites = [
+        {"name": r.name, "ok": r.ok, "checks": r.checks, "failures": r.failures[:5]}
+        for r in results
+    ]
+    return CommandResult(
+        "ok" if ok else "error",
+        {"suites": suites, "ok": ok},
+        [r.line() for r in results if not r.ok],
+        "\n".join([r.line() for r in results] + ["ok" if ok else "FAILED"]),
+    )
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -232,14 +230,8 @@ def _emit(result: CommandResult, fmt: str) -> None:
             {"status": result.status, "payload": result.payload, "diagnostics": result.diagnostics}
         ))
         return
-    if isinstance(result.payload, dict) and "suites" in result.payload:
-        for suite in result.payload["suites"]:
-            mark = "PASS" if suite["ok"] else "FAIL"
-            line = f"{mark} {suite['name']} ({suite['checks']} checks)"
-            if not suite["ok"] and suite["failures"]:
-                line += f": {suite['failures'][0]}"
-            print(line)
-        print("ok" if result.payload["ok"] else "FAILED")
+    if result.text is not None:
+        print(result.text)
     elif result.payload is not None:
         print(_encode(result.payload))
     for message in result.diagnostics:
@@ -284,9 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="structural predicates of an algebra or multiset")
     p.add_argument("spec")
+    p.set_defaults(run=cmd_classify)
 
     p = sub.add_parser("dual", help="dual object under the appropriate functor")
     p.add_argument("spec")
+    p.set_defaults(run=cmd_dual)
 
     p = sub.add_parser("homs", help="enumerate or count morphisms")
     p.add_argument("src")
@@ -298,15 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=HOMS_LIST_LIMIT,
         help="list mode fails (exit 1) above this many maps (default: %(default)s)",
     )
+    p.set_defaults(run=cmd_homs)
 
     p = sub.add_parser("eval", help="evaluate an MV term over a product algebra")
     p.add_argument("term")
     p.add_argument("--algebra", required=True)
     p.add_argument("--env", default="", help='bindings like "x=(1/2, 0); y=(1, 1)"')
+    p.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("selftest", help="run the verification suites")
     p.add_argument("--scale", choices=("small", "full"), default="small")
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=cmd_selftest)
     return parser
 
 
@@ -324,20 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help printed the help text
         return exc.code
     try:
-        if args.command == "classify":
-            result = cmd_classify(_read_arg(args.spec))
-        elif args.command == "dual":
-            result = cmd_dual(_read_arg(args.spec))
-        elif args.command == "homs":
-            result = cmd_homs(
-                _read_arg(args.src), _read_arg(args.dst), args.mode, args.limit
-            )
-        elif args.command == "eval":
-            result = cmd_eval(
-                _read_arg(args.term), _read_arg(args.algebra), args.env
-            )
-        else:
-            result = cmd_selftest(args.scale, seed=args.seed)
+        result = args.run(args)
     except _DOMAIN_ERRORS as exc:
         result = CommandResult("error", None, [str(exc)])
         _emit(result, args.format)

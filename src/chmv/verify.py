@@ -30,21 +30,16 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
+    def check(self, cond: bool, msg: Callable[[], str]) -> None:
+        """Count one check; only a failed check calls msg to describe its inputs."""
+        self.checks += 1
+        if not cond:
+            self.failures.append(msg())
+
     def line(self) -> str:
         if self.ok:
             return f"PASS {self.name} ({self.checks} checks)"
         return f"FAIL {self.name} ({len(self.failures)}/{self.checks} checks failed): {self.failures[0]}"
-
-
-class _Recorder:
-    def __init__(self, name: str):
-        self.result = SuiteResult(name)
-
-    def check(self, cond: bool, msg: Callable[[], str]) -> None:
-        """Count one check; only a failed check calls msg to describe its inputs."""
-        self.result.checks += 1
-        if not cond:
-            self.result.failures.append(msg())
 
 
 # --- shared families ---------------------------------------------------------
@@ -87,7 +82,7 @@ def _in_chain(v: Fraction, c: ChainSize) -> bool:
 
 
 def suite_mv_axioms(max_n=7, rational_pairs=1000, seed=0) -> SuiteResult:
-    rec = _Recorder("mv-axioms")
+    rec = SuiteResult("mv-axioms")
 
     def axioms(a: Fraction, b: Fraction, c: ChainSize, where: str) -> None:
         rec.check(mv_op("oplus", a, b) == mv_op("oplus", b, a), lambda: f"commutativity {where}")
@@ -119,14 +114,14 @@ def suite_mv_axioms(max_n=7, rational_pairs=1000, seed=0) -> SuiteResult:
         for c2, c3 in itertools.product(sizes, repeat=2):
             if chain_subset(c1, c2) and chain_subset(c2, c3):
                 rec.check(chain_subset(c1, c3), lambda: f"subset transitive {c1},{c2},{c3}")
-    return rec.result
+    return rec
 
 
 # --- suite 2: ideals and principality -----------------------------------------
 
 def suite_ideals(max_factors=3) -> SuiteResult:
     """The subset-scan oracle's ideals equal the support ideals (the oracle only scans)."""
-    rec = _Recorder("ideal-oracle")
+    rec = SuiteResult("ideal-oracle")
     for A in algebra_family(max_factors=max_factors, max_size=alg.IDEAL_SCAN_LIMIT):
         found = set(alg.brute_force_ideals(A))
         supports = {
@@ -161,7 +156,7 @@ def suite_ideals(max_factors=3) -> SuiteResult:
                 alg.ideal_membership(sup, M) and alg.boolean_center_contains(sup),
                 lambda: f"sup of {sorted(M.free)} in center",
             )
-    return rec.result
+    return rec
 
 
 # --- suite 3: homomorphism oracle ----------------------------------------------
@@ -171,7 +166,7 @@ def _canonical_map(table: dict) -> frozenset:
 
 
 def suite_hom_oracle(bound=10 ** 6) -> SuiteResult:
-    rec = _Recorder("hom-oracle")
+    rec = SuiteResult("hom-oracle")
     family = algebra_family()
     for A, B in itertools.product(family, repeat=2):
         if B.size ** A.size > bound:
@@ -186,13 +181,13 @@ def suite_hom_oracle(bound=10 ** 6) -> SuiteResult:
             lambda: f"homs {dsl.render(A) or '[]'} -> {dsl.render(B) or '[]'}: "
             f"oracle {len(brute)} vs index maps {len(induced)}",
         )
-    return rec.result
+    return rec
 
 
 # --- suite 4: duality -----------------------------------------------------------
 
 def suite_duality(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3) -> SuiteResult:
-    rec = _Recorder("duality")
+    rec = SuiteResult("duality")
     family = multiset_family(max_points, mults)
 
     for X in family:
@@ -238,17 +233,15 @@ def suite_duality(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3) -> SuiteResult:
     for X, Y, Z in itertools.product(comp_family, repeat=3):
         for phi in ms.enumerate_morphisms(X, Y):
             for psi in ms.enumerate_morphisms(Y, Z):
-                chained = ms.compose_morphisms(psi, phi)
-                lhs = dual.F_mor(chained)
-                rhs = dual.compose_homs(dual.F_mor(phi), dual.F_mor(psi))
+                f_phi, f_psi = dual.F_mor(phi), dual.F_mor(psi)
+                lhs = dual.F_mor(ms.compose_morphisms(psi, phi))
+                rhs = dual.compose_homs(f_phi, f_psi)
                 rec.check(lhs == rhs, lambda: "F contravariant on a composable pair")
-                back = ms.compose_morphisms(
-                    dual.H_mor(dual.F_mor(psi)), dual.H_mor(dual.F_mor(phi))
-                )
+                back = ms.compose_morphisms(dual.H_mor(f_psi), dual.H_mor(f_phi))
                 rec.check(
                     dual.H_mor(rhs) == back, lambda: "H contravariant on a composable pair"
                 )
-    return rec.result
+    return rec
 
 
 # --- suite 5: unit and counit isomorphisms ---------------------------------------
@@ -257,7 +250,7 @@ EPSILON_SAMPLES = 100  # elements drawn where the counit cannot be checked on al
 
 
 def suite_eta_epsilon(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3, seed=0) -> SuiteResult:
-    rec = _Recorder("eta-epsilon")
+    rec = SuiteResult("eta-epsilon")
     for X in multiset_family(max_points, mults):
         e = dual.eta(X)
         round_trip = dual.H_obj(dual.F_obj(X))
@@ -290,13 +283,13 @@ def suite_eta_epsilon(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3, seed=0) -> Su
             tuple(map(dual.apply_hom(eps, f).coord, A.labels)) == f.coords for f in elems
         )
         rec.check(ok, lambda: f"epsilon coordinatewise on {dsl.render(A) or '[]'}")
-    return rec.result
+    return rec
 
 
 # --- suite 6: surjectivity analysis -----------------------------------------------
 
 def suite_surjectivity(sizes=(2, 3, 4, 6)) -> SuiteResult:
-    rec = _Recorder("surjectivity")
+    rec = SuiteResult("surjectivity")
     family = algebra_family(sizes, max_factors=2, max_size=36)
     elements = {A: list(alg.enumerate_elements(A)) for A in family}
     for C, B in itertools.product(family, repeat=2):
@@ -308,13 +301,13 @@ def suite_surjectivity(sizes=(2, 3, 4, 6)) -> SuiteResult:
                 lambda: f"surjectivity of {dict(h.index_map)} : "
                 f"{dsl.render(C) or '[]'} -> {dsl.render(B) or '[]'}",
             )
-    return rec.result
+    return rec
 
 
 # --- suite 7: projectivity and lifting ----------------------------------------------
 
 def suite_lifting(instances=100, seed=0) -> SuiteResult:
-    rec = _Recorder("lifting")
+    rec = SuiteResult("lifting")
     rng = random.Random(seed)
     pool = [ChainSize(2), ChainSize(3), ChainSize(4), LINF]
 
@@ -362,13 +355,13 @@ def suite_lifting(instances=100, seed=0) -> SuiteResult:
             (dual.continuous_hom_count(A, l2) > 0) == has_l2,
             lambda: f"hom to L2 exists iff L2 factor in {dsl.render(A)}",
         )
-    return rec.result
+    return rec
 
 
 # --- suite 8: separation ----------------------------------------------------------
 
 def suite_separation(max_points=4) -> SuiteResult:
-    rec = _Recorder("separation")
+    rec = SuiteResult("separation")
     for k in range(max_points + 1):
         A = alg.make_algebra((f"x{i + 1}", ChainSize(2)) for i in range(k))
         elems = list(alg.enumerate_elements(A))
@@ -401,13 +394,13 @@ def suite_separation(max_points=4) -> SuiteResult:
                 all(v != _ONE for v in dual.apply_hom(h, half).coords),
                 lambda: f"no hom L3 -> {dsl.render(T)} sends 1/2 to 1",
             )
-    return rec.result
+    return rec
 
 
 # --- suite 9: predicate implications ------------------------------------------------
 
 def suite_predicates() -> SuiteResult:
-    rec = _Recorder("predicates")
+    rec = SuiteResult("predicates")
     mults = (1, 2, 3, ms.INF)
     options = [None, 1, 3, ms.INF]  # absent, or the fiber's cardinality
     labels = [f"p{i}" for i in range(12)]
@@ -435,7 +428,7 @@ def suite_predicates() -> SuiteResult:
             st.is_projective(ms.profile_of(X)) == st.injective_in_EM(X),
             lambda: f"profile route agrees: {entries}",
         )
-    return rec.result
+    return rec
 
 
 # --- suite 10: DSL round trips --------------------------------------------------------
@@ -504,7 +497,7 @@ _PARSERS = {
 
 
 def suite_dsl(max_size=36) -> SuiteResult:
-    rec = _Recorder("dsl")
+    rec = SuiteResult("dsl")
     for kind, text in DSL_CORPUS:
         parse = _PARSERS[kind]
         value = parse(text)
@@ -544,7 +537,7 @@ def suite_dsl(max_size=36) -> SuiteResult:
                 dual.apply_hom(p, value) == projected,
                 lambda: f"projection commutes at {lbl} for {f}, {g}",
             )
-    return rec.result
+    return rec
 
 
 # --- runner ---------------------------------------------------------------------------

@@ -24,12 +24,12 @@ def _run(suite_fn, budget_seconds, checks, **kwargs):
 
 
 def test_01_mv_axioms_exhaustive_and_sampled():
-    r = _run(verify.suite_mv_axioms, 5, 10311, max_n=7, rational_pairs=1000, seed=0)
+    r = _run(verify.suite_mv_axioms, 2, 10311, max_n=7, rational_pairs=1000, seed=0)
     assert r.checks >= 1000
 
 
 def test_02_ideal_oracle_and_principality_report():
-    _run(verify.suite_ideals, 5, 98, max_factors=3)
+    _run(verify.suite_ideals, 2, 98, max_factors=3)
 
 
 def test_03_hom_oracle_agreement():
@@ -45,21 +45,21 @@ def test_05_unit_and_counit_isomorphisms():
 
 
 def test_06_surjectivity_criterion():
-    _run(verify.suite_surjectivity, 30, 179, sizes=(2, 3, 4, 6))
+    _run(verify.suite_surjectivity, 2, 179, sizes=(2, 3, 4, 6))
 
 
 def test_07_lifting_through_surjections():
-    _run(verify.suite_lifting, 60, 191, instances=100, seed=0)
+    _run(verify.suite_lifting, 2, 191, instances=100, seed=0)
 
 
 def test_08_separation_of_boolean_elements():
-    _run(verify.suite_separation, 10, 346, max_points=4)
+    _run(verify.suite_separation, 2, 346, max_points=4)
 
 
 def test_09_predicate_implications_over_profiles():
-    _run(verify.suite_predicates, 5, 603)
+    _run(verify.suite_predicates, 2, 603)
 
 
 def test_10_dsl_round_trip_and_tautologies():
-    r = _run(verify.suite_dsl, 10, 655, max_size=36)
+    r = _run(verify.suite_dsl, 2, 655, max_size=36)
     assert r.checks >= 50

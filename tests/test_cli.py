@@ -153,6 +153,28 @@ def test_homs_list_limit_is_inclusive(capsys):
     assert doc["diagnostics"] == ["3 maps exceed --limit 2; count them with --mode count"]
 
 
+# 8000 points of multiplicity 6, each with four admissible images: 4^8000 maps, 4817 digits
+HUGE_HOM_SET = ("{" + ", ".join(f"p{i}:6" for i in range(8000)) + "}", "{a:1, b:2, c:3, d:6}")
+TOO_MANY_DIGITS = "the number of maps has more than 4300 digits"
+
+
+@pytest.mark.parametrize("mode", ["count", "list"])
+def test_homs_refuses_a_count_over_the_digit_limit(capsys, mode):
+    code, out, err = run(capsys, "homs", *HUGE_HOM_SET, "--mode", mode)
+    assert (code, out, err) == (EXIT_DOMAIN, "", TOO_MANY_DIGITS + "\n")
+    code, doc, err = run_json(capsys, "homs", *HUGE_HOM_SET, "--mode", mode)
+    assert code == EXIT_DOMAIN and err == ""
+    assert doc == {"status": "error", "payload": None, "diagnostics": [TOO_MANY_DIGITS]}
+
+
+def test_homs_prints_a_count_at_the_digit_limit(capsys):
+    # L2 * L2 -> k factors L2 has 2^k maps: 2^14284 has 4300 digits, 2^14285 has 4301
+    code, doc, _ = run_json(capsys, "homs", "L2 * L2", " * ".join(["L2"] * 14284))
+    assert code == EXIT_OK and doc["payload"] == {"count": 2 ** 14284}
+    code, doc, _ = run_json(capsys, "homs", "L2 * L2", " * ".join(["L2"] * 14285))
+    assert code == EXIT_DOMAIN and doc["diagnostics"] == [TOO_MANY_DIGITS]
+
+
 def test_homs_mixed_kinds_rejected(capsys):
     code, out, err = run(capsys, "homs", "{a:1}", "L2")
     assert code == EXIT_DOMAIN
@@ -319,7 +341,7 @@ def test_selftest_injected_fault(monkeypatch, capsys):
     monkeypatch.setattr(cli.verify, "run_all", with_a_failing_suite)
     code, out, err = run(capsys, "selftest", "--scale", "small")
     assert code == EXIT_DOMAIN
-    assert "FAIL" in out
+    assert "FAIL injected-fault (1/1 checks failed): deliberate failure" in out.splitlines()
     assert "FAIL injected-fault (1/1 checks failed): deliberate failure" in err.splitlines()
 
 

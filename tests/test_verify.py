@@ -14,11 +14,11 @@ def test_a_passing_check_never_builds_its_message():
     def unbuildable() -> str:
         raise AssertionError("message built for a passing check")
 
-    rec = verify._Recorder("recorder")
+    rec = verify.SuiteResult("recorder")
     rec.check(True, unbuildable)
     rec.check(False, lambda: "the failing one")
-    assert rec.result.checks == 2
-    assert rec.result.failures == ["the failing one"]
+    assert rec.checks == 2
+    assert rec.failures == ["the failing one"]
 
 
 def test_counit_failure_names_its_morphism_and_both_multisets(monkeypatch):
