@@ -71,10 +71,6 @@ class ProductAlgebra:
         return tuple(lbl for lbl, _ in self.factors)
 
     @cached_property
-    def chains(self) -> dict[str, ChainSize]:
-        return dict(self.factors)
-
-    @cached_property
     def positions(self) -> dict[str, int]:
         return {lbl: i for i, lbl in enumerate(self.labels)}
 
@@ -94,7 +90,7 @@ class ProductAlgebra:
 
     def chain(self, label: str) -> ChainSize:
         try:
-            return self.chains[label]
+            return self.factors[self.positions[label]][1]
         except KeyError:
             raise UnknownLabelError(f"no factor labelled {label!r}") from None
 
@@ -206,20 +202,18 @@ def boolean_center_contains(f: Element) -> bool:
     return all(v == _ZERO or v == _ONE for v in f.coords)
 
 
-def _enumerable_size(A: ProductAlgebra, bound: int = DEFAULT_ENUM_BOUND) -> int:
-    """The size of A, or EnumerationError when it is infinite or above bound."""
+def _enumerable_size(A: ProductAlgebra) -> int:
+    """The size of A, or EnumerationError when it is infinite or above DEFAULT_ENUM_BOUND."""
     if not A.all_finite:
         raise EnumerationError("cannot enumerate an algebra with an infinite factor")
-    if A.size > bound:
-        raise EnumerationError(f"algebra has {A.size} elements, bound is {bound}")
+    if A.size > DEFAULT_ENUM_BOUND:
+        raise EnumerationError(f"algebra has {A.size} elements, bound is {DEFAULT_ENUM_BOUND}")
     return A.size
 
 
-def enumerate_elements(
-    A: ProductAlgebra, bound: int = DEFAULT_ENUM_BOUND
-) -> Iterator[Element]:
+def enumerate_elements(A: ProductAlgebra) -> Iterator[Element]:
     """Yield every element of an all-finite algebra exactly once."""
-    _enumerable_size(A, bound)
+    _enumerable_size(A)
     ranges = [c.values() for _, c in A.factors]
     for coords in itertools.product(*ranges):
         yield _trusted_element(A, coords)

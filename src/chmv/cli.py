@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -238,19 +239,15 @@ def _emit(result: CommandResult, fmt: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _int_at_least(least: int):
-    """argparse type for an int that must be at least `least`."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
-        return value
-
-    return parse
+def _nonnegative_int(text: str) -> int:
+    """argparse type for --limit."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 class UsageError(ValueError):
@@ -288,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("count", "list"), default="count")
     p.add_argument(
         "--limit",
-        type=_int_at_least(0),
+        type=_nonnegative_int,
         default=HOMS_LIST_LIMIT,
         help="list mode fails (exit 1) above this many maps (default: %(default)s)",
     )
@@ -324,12 +321,15 @@ def main(argv: list[str] | None = None) -> int:
         result = args.run(args)
     except _DOMAIN_ERRORS as exc:
         result = CommandResult("error", None, [str(exc)])
-        _emit(result, args.format)
-        return EXIT_DOMAIN
     except Exception as exc:  # invariant breach
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(result, args.format)
+    try:
+        _emit(result, args.format)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except OSError:  # e.g. `chmv ... | head` closed the pipe: write nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_DOMAIN
     return result.exit_code
 
 

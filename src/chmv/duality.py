@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Mapping
 
@@ -29,10 +30,6 @@ from .chain import ChainSize, LINF, chain_subset
 from .multiset import EMMorphism, EMultiset, INF, _trusted_morphism, compose_morphisms
 
 SAMPLE_MAX_DENOMINATOR = 6
-# the values k/q, 0 <= k <= q, that sample_elements draws for an infinite factor
-_SAMPLE_GRIDS = {
-    q: ChainSize(q + 1).values() for q in range(1, SAMPLE_MAX_DENOMINATOR + 1)
-}
 # Bound of the F_obj, H_obj, eta and epsilon caches: a full selftest calls
 # each of the four on 84 distinct objects.
 FUNCTOR_CACHE_SIZE = 128
@@ -55,7 +52,6 @@ class ContinuousHom:
     source: ProductAlgebra
     target: ProductAlgebra
     index_map: tuple[tuple[str, str], ...]
-    map: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         as_dict = dict(self.index_map)
@@ -69,13 +65,12 @@ class ContinuousHom:
                     f"{self.source.chain(x)} is not a subchain of {self.target.chain(y)}"
                 )
         object.__setattr__(self, "index_map", tuple((y, as_dict[y]) for y in self.target.labels))
-        object.__setattr__(self, "map", as_dict)
 
     @cached_property
     def source_positions(self) -> tuple[int, ...]:
         """For each target coordinate, the position of its source coordinate."""
-        pos, m = self.source.positions, self.map
-        return tuple(pos[m[y]] for y in self.target.labels)
+        pos = self.source.positions
+        return tuple(pos[x] for _, x in self.index_map)
 
 
 def _trusted_hom(
@@ -93,7 +88,7 @@ def _trusted_hom(
     through ContinuousHom or make_hom, which validate.
     """
     h = object.__new__(ContinuousHom)
-    h.__dict__.update(source=source, target=target, index_map=index_map, map=dict(index_map))
+    h.__dict__.update(source=source, target=target, index_map=index_map)
     return h
 
 
@@ -124,14 +119,13 @@ def compose_homs(g: ContinuousHom, h: ContinuousHom) -> ContinuousHom:
     """h then g on elements; index maps compose the other way around."""
     if h.target != g.source:
         raise HomError("target of the first hom differs from source of the second")
-    return _trusted_hom(
-        h.source, g.target, tuple((z, h.map[x]) for z, x in g.index_map)
-    )
+    h_map = dict(h.index_map)
+    return _trusted_hom(h.source, g.target, tuple((z, h_map[x]) for z, x in g.index_map))
 
 
 def _source_choices(A: ProductAlgebra, B: ProductAlgebra) -> list[list[str]]:
     """For each coordinate of B, the coordinates of A whose chain it includes."""
-    return [[x for x in A.labels if chain_subset(A.chain(x), B.chain(y))] for y in B.labels]
+    return [[x for x, cx in A.factors if chain_subset(cx, cy)] for _, cy in B.factors]
 
 
 def enumerate_continuous_homs(
@@ -215,7 +209,7 @@ def sample_elements(A: ProductAlgebra, count: int, seed: int) -> list[Element]:
                 coords.append(grid[rng.randrange(len(grid))])
             else:
                 q = rng.randint(1, SAMPLE_MAX_DENOMINATOR)
-                coords.append(_SAMPLE_GRIDS[q][rng.randint(0, q)])
+                coords.append(Fraction(rng.randint(0, q), q))
         out.append(_trusted_element(A, tuple(coords)))
     return out
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping
 
@@ -86,7 +86,6 @@ class EMMorphism:
     source: EMultiset
     target: EMultiset
     mapping: tuple[tuple[str, str], ...]
-    map: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         as_dict = dict(self.mapping)
@@ -101,7 +100,6 @@ class EMMorphism:
                     f"{self.source.mults[x]} of {x!r}"
                 )
         object.__setattr__(self, "mapping", tuple((x, as_dict[x]) for x in self.source.labels))
-        object.__setattr__(self, "map", as_dict)
 
 
 def _trusted_morphism(
@@ -119,7 +117,7 @@ def _trusted_morphism(
     EMMorphism, which validates.
     """
     phi = object.__new__(EMMorphism)
-    phi.__dict__.update(source=source, target=target, mapping=mapping, map=dict(mapping))
+    phi.__dict__.update(source=source, target=target, mapping=mapping)
     return phi
 
 
@@ -131,9 +129,8 @@ def compose_morphisms(psi: EMMorphism, phi: EMMorphism) -> EMMorphism:
     """phi then psi; divisibility transits through the middle multiset."""
     if phi.target != psi.source:
         raise MorphismError("target of the first map differs from source of the second")
-    return _trusted_morphism(
-        phi.source, psi.target, tuple((x, psi.map[y]) for x, y in phi.mapping)
-    )
+    psi_map = dict(psi.mapping)
+    return _trusted_morphism(phi.source, psi.target, tuple((x, psi_map[y]) for x, y in phi.mapping))
 
 
 def _image_choices(X: EMultiset, Y: EMultiset) -> list[list[str]]:
@@ -173,13 +170,9 @@ class Profile:
         ordered = tuple(sorted(self.entries, key=lambda mc: (mc[0] == INF, mc[0])))
         object.__setattr__(self, "entries", ordered)
 
-    @cached_property
-    def table(self) -> dict[Mult, Mult]:
-        return dict(self.entries)
-
     def cardinality(self, mult: Mult) -> Mult:
         """Fiber size at a multiplicity; 0 when absent."""
-        return self.table.get(mult, 0)
+        return next((c for m, c in self.entries if m == mult), 0)
 
 
 def make_profile(entries: Mapping[Mult, Mult]) -> Profile:

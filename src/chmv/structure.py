@@ -103,6 +103,7 @@ def lift(phi: ContinuousHom, psi: ContinuousHom, s0: str) -> ContinuousHom:
         raise StructureError(f"coordinate {s0!r} is not a two-element factor")
     if not is_surjective_hom(psi):
         raise StructureError("psi is not surjective")
-    hit = {x: phi.map[y] for y, x in psi.index_map}
+    phi_map = dict(phi.index_map)
+    hit = {x: phi_map[y] for y, x in psi.index_map}
     index_map = tuple((x, hit.get(x, s0)) for x in C.labels)
     return ContinuousHom(A, C, index_map)

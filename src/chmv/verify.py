@@ -131,7 +131,7 @@ def suite_ideals(max_factors=3) -> SuiteResult:
         }
         rec.check(
             found == supports,
-            lambda: f"ideals of {dsl.render(A) or '[]'} are the support ideals",
+            lambda: f"ideals of {dsl.render(A)} are the support ideals",
         )
         all_elems = frozenset(alg.enumerate_elements(A))
         proper = [I for I in found if I != all_elems]
@@ -178,7 +178,7 @@ def suite_hom_oracle(bound=10 ** 6) -> SuiteResult:
         }
         rec.check(
             brute == induced,
-            lambda: f"homs {dsl.render(A) or '[]'} -> {dsl.render(B) or '[]'}: "
+            lambda: f"homs {dsl.render(A)} -> {dsl.render(B)}: "
             f"oracle {len(brute)} vs index maps {len(induced)}",
         )
     return rec
@@ -253,14 +253,15 @@ def suite_eta_epsilon(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3, seed=0) -> Su
     rec = SuiteResult("eta-epsilon")
     for X in multiset_family(max_points, mults):
         e = dual.eta(X)
+        e_map = dict(e.mapping)
         round_trip = dual.H_obj(dual.F_obj(X))
-        images = set(e.map.values())
+        images = set(e_map.values())
         rec.check(
             len(images) == len(X.labels) and images == set(round_trip.labels),
             lambda: f"eta bijective on {dsl.render(X)}",
         )
         rec.check(
-            all(round_trip.mults[e.map[x]] == X.mults[x] for x in X.labels),
+            all(round_trip.mults[e_map[x]] == X.mults[x] for x in X.labels),
             lambda: f"eta multiplicity-preserving on {dsl.render(X)}",
         )
         rec.check(
@@ -282,7 +283,7 @@ def suite_eta_epsilon(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3, seed=0) -> Su
         ok = all(
             tuple(map(dual.apply_hom(eps, f).coord, A.labels)) == f.coords for f in elems
         )
-        rec.check(ok, lambda: f"epsilon coordinatewise on {dsl.render(A) or '[]'}")
+        rec.check(ok, lambda: f"epsilon coordinatewise on {dsl.render(A)}")
     return rec
 
 
@@ -299,7 +300,7 @@ def suite_surjectivity(sizes=(2, 3, 4, 6)) -> SuiteResult:
             rec.check(
                 st.is_surjective_hom(h) == (image == targets),
                 lambda: f"surjectivity of {dict(h.index_map)} : "
-                f"{dsl.render(C) or '[]'} -> {dsl.render(B) or '[]'}",
+                f"{dsl.render(C)} -> {dsl.render(B)}",
             )
     return rec
 
@@ -347,7 +348,7 @@ def suite_lifting(instances=100, seed=0) -> SuiteResult:
     for A in algebra_family((3, 4, 6, None), max_factors=3, include_empty=True):
         rec.check(
             dual.continuous_hom_count(A, l2) == 0,
-            lambda: f"no hom to L2 from {dsl.render(A) or '[]'}",
+            lambda: f"no hom to L2 from {dsl.render(A)}",
         )
     for A in algebra_family((2, 3, None), max_factors=2, include_empty=False):
         has_l2 = any(c == ChainSize(2) for _, c in A.factors)

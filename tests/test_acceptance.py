@@ -5,9 +5,14 @@ asserts every check passed and the suite's check count at seed 0 (so a
 speed-up cannot come from checking less), and prints a single PASS/FAIL line.
 """
 
+import json
 import time
+from pathlib import Path
 
 from chmv import verify
+from chmv.cli import EXIT_OK, main
+
+RECORDED_CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "selftest_checks.json"
 
 
 def _run(suite_fn, budget_seconds, checks, **kwargs):
@@ -63,3 +68,13 @@ def test_09_predicate_implications_over_profiles():
 def test_10_dsl_round_trip_and_tautologies():
     r = _run(verify.suite_dsl, 2, 655, max_size=36)
     assert r.checks >= 50
+
+
+def test_11_cli_full_selftest_makes_the_recorded_checks(capsys):
+    """`chmv selftest --scale full` runs the suites with their own defaults, which the
+    tests above pass as copies: its per-suite counts are the ones recorded for seed 0."""
+    code = main(["--format", "json", "selftest", "--scale", "full"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK and doc["payload"]["ok"] is True
+    counts = {s["name"]: s["checks"] for s in doc["payload"]["suites"]}
+    assert counts == json.loads(RECORDED_CHECKS.read_text())["full"]["0"]

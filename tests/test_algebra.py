@@ -102,10 +102,12 @@ def test_enumerate_elements_counts():
         list(enumerate_elements(make_algebra([("x", LINF)])))
 
 
-def test_enumerate_elements_bound():
-    A = make_algebra([("x", ChainSize(100))])
-    with pytest.raises(EnumerationError):
-        list(enumerate_elements(A, bound=10))
+def test_enumerate_elements_bound(monkeypatch):
+    """Above DEFAULT_ENUM_BOUND elements the algebra is refused before any element is built."""
+    A = make_algebra((f"x{i}", ChainSize(2)) for i in range(20))
+    monkeypatch.setattr(algebra, "_trusted_element", None)  # building one would raise TypeError
+    with pytest.raises(EnumerationError, match=r"algebra has 1048576 elements, bound is 1000000"):
+        next(enumerate_elements(A))
 
 
 def test_boolean_center():

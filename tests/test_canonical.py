@@ -56,7 +56,8 @@ def test_permuted_point_maps_build_the_canonical_morphism(X, Y, data):
     phi = data.draw(st.sampled_from(morphs))
     pairs = tuple(data.draw(st.permutations(phi.mapping)))
     built = EMMorphism(X, Y, pairs)
-    canonical = EMMorphism(X, Y, tuple((x, phi.map[x]) for x in X.labels))
+    images = dict(phi.mapping)
+    canonical = EMMorphism(X, Y, tuple((x, images[x]) for x in X.labels))
     assert built == canonical == phi
     assert hash(built) == hash(canonical) == hash(phi)
     assert F_mor(built) == F_mor(canonical)

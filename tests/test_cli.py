@@ -1,8 +1,12 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +122,12 @@ def test_homs_algebras_with_listing(capsys):
     assert len(doc["payload"]["homs"]) == 2
     maps = {tuple(sorted(h["index_map"].items())) for h in doc["payload"]["homs"]}
     assert maps == {(("x1", "x1"),), (("x1", "x2"),)}
+
+
+def test_homs_list_on_multisets(capsys):
+    code, doc, err = run_json(capsys, "homs", "{a:2}", "{b:1,c:2}", "--mode", "list")
+    assert code == EXIT_OK and err == ""
+    assert doc["payload"] == {"count": 2, "homs": [{"map": {"a": "b"}}, {"map": {"a": "c"}}]}
 
 
 EIGHT_POINTS = "{" + ",".join(f"{p}:1" for p in "abcdefgh") + "}"
@@ -379,6 +389,10 @@ def test_determinism(capsys):
             ["homs", "L3", "L2", "--mode", "list", "--limit", "-1"],
             "argument --limit: must be at least 0, got -1",
         ),
+        (
+            ["homs", "L3", "L2", "--mode", "list", "--limit", "abc"],
+            "argument --limit: invalid int value: 'abc'",
+        ),
     ],
 )
 def test_usage_errors_exit_1_with_usage_on_stderr(capsys, argv, message):
@@ -388,6 +402,24 @@ def test_usage_errors_exit_1_with_usage_on_stderr(capsys, argv, message):
     usage, error = err.splitlines()
     assert usage.startswith("usage: chmv ")
     assert error.startswith("chmv") and f": error: {message}" in error
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    """A reader that quits early, as in `chmv classify ... | head -c 10`.
+
+    The child reads its spec from stdin, so it cannot write before the parent
+    has closed its end of the stdout pipe: the write fails every time.
+    """
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chmv.cli", "classify", "@/dev/stdin"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate("L2 * Linf", timeout=60)
+    assert proc.returncode == EXIT_DOMAIN
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["homs", "-h"]])

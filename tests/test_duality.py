@@ -143,7 +143,7 @@ def test_F_contravariant_on_composition():
 def test_H_mor():
     p = projection(L3xL2, "a")
     m = H_mor(p)
-    assert m.map == {"a": "a"}
+    assert dict(m.mapping) == {"a": "a"}
     assert m.source == H_obj(p.target) and m.target == H_obj(p.source)
     assert H_mor(identity_hom(L3xL2)) == identity_morphism(H_obj(L3xL2))
 
@@ -151,8 +151,9 @@ def test_H_mor():
 def test_eta_roundtrip():
     X = EMultiset((("a", 1), ("b", 2)))
     e = eta(X)
-    assert set(e.map.values()) == set(e.target.labels)
-    assert all(e.target.mults[e.map[x]] == X.mults[x] for x in X.labels)
+    e_map = dict(e.mapping)
+    assert set(e_map.values()) == set(e.target.labels)
+    assert all(e.target.mults[e_map[x]] == X.mults[x] for x in X.labels)
     inverse = EMMorphism(e.target, X, tuple((y, y) for y in e.target.labels))
     from chmv.multiset import compose_morphisms
 

@@ -38,7 +38,7 @@ def test_validate_morphism_divisor():
     X = EMultiset((("a", 4),))
     Y = EMultiset((("b", 2),))
     phi = EMMorphism(X, Y, (("a", "b"),))
-    assert phi.map == {"a": "b"}
+    assert dict(phi.mapping) == {"a": "b"}
 
 
 def test_validate_morphism_infinite_source_unconstrained():
@@ -70,7 +70,7 @@ def test_validate_morphism_must_be_total():
 
 def test_identity_validates():
     for X in (EMultiset(()), EMultiset((("a", 5), ("b", INF)))):
-        assert identity_morphism(X).map == {x: x for x in X.labels}
+        assert dict(identity_morphism(X).mapping) == {x: x for x in X.labels}
 
 
 def test_compose():
@@ -79,7 +79,7 @@ def test_compose():
     Z = EMultiset((("c", 1),))
     phi = EMMorphism(X, Y, (("a", "b"),))
     psi = EMMorphism(Y, Z, (("b", "c"),))
-    assert compose_morphisms(psi, phi).map == {"a": "c"}
+    assert dict(compose_morphisms(psi, phi).mapping) == {"a": "c"}
     assert compose_morphisms(identity_morphism(Y), phi) == phi
 
 
@@ -109,9 +109,9 @@ def test_enumerate_matches_product_formula():
 
 def test_profile_of():
     X = EMultiset((("a", 1), ("b", 2), ("c", 2)))
-    assert profile_of(X).table == {1: 1, 2: 2}
-    assert profile_of(EMultiset(())).table == {}
-    assert profile_of(EMultiset((("a", INF),))).table == {INF: 1}
+    assert dict(profile_of(X).entries) == {1: 1, 2: 2}
+    assert dict(profile_of(EMultiset(())).entries) == {}
+    assert dict(profile_of(EMultiset((("a", INF),))).entries) == {INF: 1}
 
 
 def test_is_isomorphic():

@@ -144,7 +144,7 @@ def test_lift_example():
     psi = make_hom(C, B, {"y": "c1"})
     phi = make_hom(A, B, {"y": "a2"})
     lifted = lift(phi, psi, "a1")
-    assert lifted.map == {"c1": "a2", "c2": "a1"}
+    assert dict(lifted.index_map) == {"c1": "a2", "c2": "a1"}
     composed = compose_homs(psi, lifted)
     assert composed == phi
     for f in enumerate_elements(A):
