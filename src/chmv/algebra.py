@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
-from .chain import _ONE, _ZERO, ChainSize, FRAC_OPS, check_member, frac_neg
+from .chain import _ONE, _ZERO, MV_KERNELS, ChainSize, check_member, mv_op
 
 DEFAULT_ENUM_BOUND = 10 ** 6
 IDEAL_SCAN_LIMIT = 16
@@ -178,17 +178,18 @@ def _same_algebra(f: Element, g: Element) -> None:
 
 
 def pointwise_op(kind: str, f: Element, g: Element | None = None) -> Element:
-    """Coordinatewise MV operation; results stay in the algebra by chain closure."""
+    """mv_op at each coordinate; results stay in the algebra by chain closure."""
     if kind == "neg":
         if g is not None:
             raise AlgebraError("neg takes a single operand")
-        return _trusted_element(f.algebra, tuple(map(frac_neg, f.coords)))
-    if kind not in FRAC_OPS:
+        return _trusted_element(f.algebra, tuple(map(mv_op, itertools.repeat(kind), f.coords)))
+    if kind not in MV_KERNELS:
         raise AlgebraError(f"unknown operation {kind!r}")
     if g is None:
         raise AlgebraError(f"{kind} needs two operands")
     _same_algebra(f, g)
-    return _trusted_element(f.algebra, tuple(map(FRAC_OPS[kind], f.coords, g.coords)))
+    coords = map(mv_op, itertools.repeat(kind), f.coords, g.coords)
+    return _trusted_element(f.algebra, tuple(coords))
 
 
 def leq_elem(f: Element, g: Element) -> bool:

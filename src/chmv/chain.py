@@ -4,6 +4,8 @@ A chain is either the finite subalgebra L_n = {0, 1/(n-1), ..., 1} of the
 unit interval (n >= 2) or the full rational unit interval, written Linf.
 Chain elements are plain Fractions (always in lowest terms, so equality is
 structural); check_member says whether a Fraction lies in a given chain.
+The MV operations run on integers: MV_KERNELS holds one kernel for each binary
+operation, taking numerators over a common denominator to a numerator over it.
 """
 
 from __future__ import annotations
@@ -67,61 +69,39 @@ def check_member(v: Fraction, c: ChainSize) -> None:
         raise NotInChainError(f"{v} is not a multiple of 1/{c.n - 1}")
 
 
-# The MV operations on Fractions: the one set of kernels behind mv_op, pointwise_op
-# and eval_term.  They cross-multiply numerators and denominators, compare integers
-# and build at most one Fraction, skipping the generic Fraction arithmetic; meet and
-# join return an operand (the first on a tie), like min and max.  The values equal
-# min(a+b, 1), max(a+b-1, 0), 1-a, min and max on every Fraction, even outside [0, 1].
-
-def frac_oplus(a: Fraction, b: Fraction) -> Fraction:
-    ad, bd = a.denominator, b.denominator
-    n, d = a.numerator * bd + b.numerator * ad, ad * bd
-    return _ONE if n >= d else Fraction(n, d)
-
-
-def frac_neg(a: Fraction) -> Fraction:
-    d = a.denominator
-    return Fraction(d - a.numerator, d)
-
-
-def frac_odot(a: Fraction, b: Fraction) -> Fraction:
-    ad, bd = a.denominator, b.denominator
-    d = ad * bd
-    n = a.numerator * bd + b.numerator * ad - d
-    return Fraction(n, d) if n > 0 else _ZERO
-
-
-def frac_meet(a: Fraction, b: Fraction) -> Fraction:
-    return a if a.numerator * b.denominator <= b.numerator * a.denominator else b
-
-
-def frac_join(a: Fraction, b: Fraction) -> Fraction:
-    return b if a.numerator * b.denominator < b.numerator * a.denominator else a
-
-
-FRAC_OPS = {
-    "oplus": frac_oplus,
-    "odot": frac_odot,
-    "meet": frac_meet,
-    "join": frac_join,
+# The one kernel table, behind mv_op, pointwise_op and eval_term.  A kernel maps the
+# numerators a and b of two values over a common denominator d > 0 to the result's
+# numerator over d, and negation is d - a; so on all rationals, even outside [0, 1],
+# they are min(x+y, 1), max(x+y-1, 0), min, max (a on a tie) and min(1-x+y, 1).
+MV_KERNELS = {
+    "oplus": lambda a, b, d: a + b if a + b < d else d,
+    "odot": lambda a, b, d: a + b - d if a + b > d else 0,
+    "meet": lambda a, b, d: a if a <= b else b,
+    "join": lambda a, b, d: b if a < b else a,
+    "implies": lambda a, b, d: d - a + b if b < a else d,
 }
 
 
 def mv_op(kind: str, a: Fraction, b: Fraction | None = None) -> Fraction:
-    """Apply one of the five MV operations.
+    """Negation, or a kernel of MV_KERNELS over the product of the denominators.
 
-    Every chain is closed under all five, so the result lies in each chain
-    that holds the operands.
+    A result equal to an operand is that operand (a first), so meet and join
+    return what min and max return.  Every chain is closed under all the
+    operations, so the result lies in each chain that holds the operands.
     """
     if kind == "neg":
         if b is not None:
             raise ChainError("neg takes a single operand")
-        return frac_neg(a)
-    if kind not in FRAC_OPS:
+        return Fraction(a.denominator - a.numerator, a.denominator)
+    kernel = MV_KERNELS.get(kind)
+    if kernel is None:
         raise ChainError(f"unknown operation {kind!r}")
     if b is None:
         raise ChainError(f"{kind} needs two operands")
-    return FRAC_OPS[kind](a, b)
+    ad, bd = a.denominator, b.denominator
+    an, bn = a.numerator * bd, b.numerator * ad
+    r = kernel(an, bn, ad * bd)
+    return a if r == an else b if r == bn else Fraction(r, ad * bd)
 
 
 def chain_subset(c1: ChainSize, c2: ChainSize) -> bool:

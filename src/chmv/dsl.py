@@ -11,13 +11,16 @@ binaries left-associative.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 from .algebra import AlgebraError, Element, ProductAlgebra, _trusted_element, make_algebra
-from .chain import _ONE, _ZERO, ChainError, ChainSize, FRAC_OPS, LINF, frac_neg
+from .chain import MV_KERNELS, ChainError, ChainSize, LINF
 from .multiset import EMultiset, INF, MultisetError, Mult
 
 
@@ -257,39 +260,49 @@ def _parse_atom(cur: _Cursor, depth: int) -> Term:
     raise ParseError(f"expected a term, found {tok.text!r}", tok.position)
 
 
+_fraction = lru_cache(maxsize=1024)(Fraction)  # eval_term's root values recur; immutable
+
+
 def eval_term(t: Term, env: dict[str, Element], A: ProductAlgebra) -> Element:
-    """Evaluate by structural recursion; implication runs as ~a (+) b.
+    """Evaluate by structural recursion on integer numerators.
 
-    The recursion works on coordinate tuples, mapping the chain kernels over
-    them, and builds one Element at the root.  Variables are checked left to
-    right: the first unbound one, or bound outside A, raises.
+    Coordinate k gets one denominator D_k, the lcm of the denominators at k
+    of the bindings in env that live in A, each written once as numerators
+    over D_k.  This is exact: the operations act on each coordinate alone,
+    0 and 1 are 0/D_k and D_k/D_k, and each kernel of chain.MV_KERNELS, like
+    negation D_k - a, only adds, subtracts and compares integers, so it takes
+    numerators over D_k to one over D_k.  Fractions are built at the root.
+    The leftmost variable that is unbound, or bound outside A, raises.
     """
-    return _trusted_element(A, _eval_coords(t, env, A))
+    bound = {x: e.coords for x, e in env.items() if e.algebra is A or e.algebra == A}
+    dens = (1,) * len(A.factors)
+    for coords in bound.values():
+        dens = tuple(map(math.lcm, dens, [v.denominator for v in coords]))
+    nums = {x: tuple([v.numerator * (d // v.denominator) for v, d in zip(c, dens)])
+            for x, c in bound.items()}
 
-
-def _eval_coords(t: Term, env: dict[str, Element], A: ProductAlgebra) -> tuple[Fraction, ...]:
-    kind = type(t)
-    if kind is BinOp:
-        left = _eval_coords(t.left, env, A)
-        right = _eval_coords(t.right, env, A)
-        if t.op == "implies":
-            return tuple(map(FRAC_OPS["oplus"], map(frac_neg, left), right))
-        op = FRAC_OPS.get(t.op)
-        if op is None:
-            raise AlgebraError(f"unknown operation {t.op!r}")
-        return tuple(map(op, left, right))
-    if kind is Var:
-        if t.name not in env:
-            raise UnboundVariableError(f"variable {t.name!r} is not bound")
-        value = env[t.name]
-        if value.algebra is not A and value.algebra != A:
+    def numerators(t: Term) -> Iterable[int]:
+        """t's numerators over dens, one per coordinate, as a tuple or a lazy map."""
+        kind = type(t)
+        if kind is BinOp:
+            left, right = numerators(t.left), numerators(t.right)
+            kernel = MV_KERNELS.get(t.op)
+            if kernel is None:
+                raise AlgebraError(f"unknown operation {t.op!r}")
+            return map(kernel, left, right, dens)
+        if kind is Var:
+            if t.name in nums:
+                return nums[t.name]
+            if t.name not in env:
+                raise UnboundVariableError(f"variable {t.name!r} is not bound")
             raise AlgebraError(f"binding for {t.name!r} lives in a different algebra")
-        return value.coords
-    if kind is Neg:
-        return tuple(map(frac_neg, _eval_coords(t.arg, env, A)))
-    if kind is Const:
-        return (_ONE if t.value else _ZERO,) * len(A.factors)
-    raise TypeError(f"not a term: {t!r}")
+        if kind is Neg:
+            return map(operator.sub, dens, numerators(t.arg))
+        if kind is Const:
+            return dens if t.value else (0,) * len(dens)
+        raise TypeError(f"not a term: {t!r}")
+
+    return _trusted_element(A, tuple(map(_fraction, numerators(t), dens)))
 
 
 # --- rendering ----------------------------------------------------------------

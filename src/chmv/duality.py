@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,6 +73,12 @@ class ContinuousHom:
         pos = self.source.positions
         return tuple(pos[x] for _, x in self.index_map)
 
+    @cached_property
+    def image_getter(self):
+        """apply_hom's reader of the image tuple; itemgetter makes tuples from 2 items on."""
+        pos = self.source_positions
+        return operator.itemgetter(*pos) if len(pos) > 1 else lambda c: tuple([c[p] for p in pos])
+
 
 def _trusted_hom(
     source: ProductAlgebra, target: ProductAlgebra, index_map: tuple[tuple[str, str], ...]
@@ -111,8 +118,7 @@ def projection(A: ProductAlgebra, label: str) -> ContinuousHom:
 def apply_hom(h: ContinuousHom, f: Element) -> Element:
     if f.algebra is not h.source and f.algebra != h.source:
         raise AlgebraMismatchError("element does not belong to the hom's source")
-    coords = f.coords
-    return _trusted_element(h.target, tuple([coords[i] for i in h.source_positions]))
+    return _trusted_element(h.target, h.image_getter(f.coords))
 
 
 def compose_homs(g: ContinuousHom, h: ContinuousHom) -> ContinuousHom:

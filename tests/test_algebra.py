@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chmv import algebra, verify
 from chmv.algebra import (
@@ -29,7 +30,7 @@ from chmv.algebra import (
     unit,
     zero,
 )
-from chmv.chain import ChainError, ChainSize, LINF, frac_neg, frac_oplus
+from chmv.chain import MV_KERNELS, ChainError, ChainSize, LINF, mv_op
 
 
 L2xL3 = make_algebra([("a", ChainSize(2)), ("b", ChainSize(3))])
@@ -71,6 +72,26 @@ def test_pointwise_ops():
     a = make_element(L3xL2, [Fraction(1, 2), 1])
     b = make_element(L3xL2, [1, 0])
     assert pointwise_op("meet", a, b).coords == (Fraction(1, 2), Fraction(0))
+
+
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6)
+
+
+@settings(max_examples=200)
+@given(unit_fractions, unit_fractions)
+def test_pointwise_op_runs_mv_op_on_each_coordinate(a, b):
+    A = make_algebra([("x", LINF), ("y", ChainSize(2))])
+    f, g = make_element(A, [a, 1]), make_element(A, [b, 0])
+    one, nil = Fraction(1), Fraction(0)
+    for kind in MV_KERNELS:
+        assert pointwise_op(kind, f, g).coords == (mv_op(kind, a, b), mv_op(kind, one, nil))
+    assert pointwise_op("neg", f).coords == (1 - a, 0)
+    # meet and join return the very coordinate min and max return, also on ties
+    assert pointwise_op("meet", f, g).coords[0] is min(f.coords[0], g.coords[0])
+    assert pointwise_op("join", f, g).coords[0] is max(f.coords[0], g.coords[0])
+    tie = make_element(A, [a, 1])
+    assert pointwise_op("meet", f, tie).coords[0] is f.coords[0]
+    assert pointwise_op("join", tie, f).coords[0] is tie.coords[0]
 
 
 def test_pointwise_algebra_mismatch():
@@ -271,7 +292,7 @@ def test_oracles_share_one_set_of_cayley_tables_per_algebra():
 
 @pytest.mark.parametrize("max_size", [None, 16])
 def test_integer_cayley_tables_match_fraction_arithmetic(max_size):
-    """The digit arithmetic of _op_tables against frac_oplus/frac_neg on coordinates."""
+    """The digit arithmetic of _op_tables against pointwise_op on elements."""
     family = verify.algebra_family(max_size=max_size)
     assert any(not A.factors for A in family)  # the empty product is covered
     for A in family:
@@ -280,9 +301,9 @@ def test_integer_cayley_tables_match_fraction_arithmetic(max_size):
         index = {e.coords: i for i, e in enumerate(elems)}
         assert index[zero(A).coords] == 0
         for i, e in enumerate(elems):
-            assert neg[i] == index[tuple(map(frac_neg, e.coords))], (A, e)
+            assert neg[i] == index[pointwise_op("neg", e).coords], (A, e)
             for j, f in enumerate(elems):
-                assert opl[i][j] == index[tuple(map(frac_oplus, e.coords, f.coords))], (A, e, f)
+                assert opl[i][j] == index[pointwise_op("oplus", e, f).coords], (A, e, f)
 
 
 def test_brute_force_homs_are_homomorphisms():

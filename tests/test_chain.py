@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,15 +8,12 @@ from hypothesis import given, settings, strategies as st
 from chmv.chain import (
     ChainSize,
     ChainError,
-    FRAC_OPS,
     LINF,
+    MV_KERNELS,
     NotInChainError,
     OutOfRangeError,
     chain_subset,
     check_member,
-    frac_neg,
-    frac_odot,
-    frac_oplus,
     mv_op,
 )
 
@@ -72,19 +70,30 @@ any_fractions = st.one_of(
 @given(any_fractions, any_fractions)
 def test_kernels_equal_their_definitions(a, b):
     one, zero = Fraction(1), Fraction(0)
-    for got, want in [
-        (frac_oplus(a, b), min(a + b, one)),
-        (frac_odot(a, b), max(a + b - one, zero)),
-        (frac_neg(a), one - a),
-    ]:
+    definitions = {
+        "oplus": min(a + b, one),
+        "odot": max(a + b - one, zero),
+        "meet": min(a, b),
+        "join": max(a, b),
+        "implies": min(one - a + b, one),
+    }
+    assert set(MV_KERNELS) == set(definitions)
+    # the integer kernels, on numerators over the lcm of the denominators
+    d = math.lcm(a.denominator, b.denominator)
+    an, bn = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    for kind, want in definitions.items():
+        assert Fraction(MV_KERNELS[kind](an, bn, d), d) == want
+    # mv_op on Fractions, through the same kernels
+    for got, want in [*((mv_op(k, a, b), w) for k, w in definitions.items()),
+                      (mv_op("neg", a), one - a)]:
         assert type(got) is Fraction
         assert got == want
     # meet and join return the very operand min and max return, also on ties
-    assert FRAC_OPS["meet"](a, b) is min(a, b)
-    assert FRAC_OPS["join"](a, b) is max(a, b)
+    assert mv_op("meet", a, b) is min(a, b)
+    assert mv_op("join", a, b) is max(a, b)
     tie = Fraction(a.numerator, a.denominator)
-    assert FRAC_OPS["meet"](a, tie) is min(a, tie) is a
-    assert FRAC_OPS["join"](tie, a) is max(tie, a) is tie
+    assert mv_op("meet", a, tie) is min(a, tie) is a
+    assert mv_op("join", tie, a) is max(tie, a) is tie
 
 
 def test_mv_op_rejects_unknown_kind_and_wrong_arity():

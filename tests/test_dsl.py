@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -252,17 +253,17 @@ def test_eval_term_matches_a_per_coordinate_reference(t, bound):
     assert value.coords == tuple(ref_eval(t, env, i) for i in range(len(A.factors)))
 
 
-@pytest.mark.parametrize(
-    "text, error, message",
-    [
-        ("u (+) ~v", UnboundVariableError, "variable 'u' is not bound"),
-        ("1 (.) ~~v -> u", UnboundVariableError, "variable 'v' is not bound"),
-        ("x (+) b -> u", AlgebraError, "binding for 'b' lives in a different algebra"),
-        ("x /\\ (u \\/ b)", UnboundVariableError, "variable 'u' is not bound"),
-        ("~(~b (.) x) \\/ u", AlgebraError, "binding for 'b' lives in a different algebra"),
-        ("(x -> (x (+) v)) /\\ (b (.) u)", UnboundVariableError, "variable 'v' is not bound"),
-    ],
-)
+LEFTMOST_OFFENDERS = [
+    ("u (+) ~v", UnboundVariableError, "variable 'u' is not bound"),
+    ("1 (.) ~~v -> u", UnboundVariableError, "variable 'v' is not bound"),
+    ("x (+) b -> u", AlgebraError, "binding for 'b' lives in a different algebra"),
+    ("x /\\ (u \\/ b)", UnboundVariableError, "variable 'u' is not bound"),
+    ("~(~b (.) x) \\/ u", AlgebraError, "binding for 'b' lives in a different algebra"),
+    ("(x -> (x (+) v)) /\\ (b (.) u)", UnboundVariableError, "variable 'v' is not bound"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", LEFTMOST_OFFENDERS)
 def test_eval_error_comes_from_the_leftmost_offending_variable(text, error, message):
     A, B = parse_algebra("L3 * L2"), parse_algebra("L3")
     env = {"x": unit(A), "b": unit(B)}  # u and v are unbound, b lives in B
@@ -270,6 +271,60 @@ def test_eval_error_comes_from_the_leftmost_offending_variable(text, error, mess
         eval_term(parse_term(text), env, A)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, error, message", LEFTMOST_OFFENDERS)
+def test_eval_error_ignores_unreferenced_bindings(text, error, message):
+    A, B = parse_algebra("L3 * L2"), parse_algebra("L3")
+    wide = parse_algebra("Linf * L4 * Linf")
+    env = {
+        "w": make_element(wide, [Fraction(1, 7), Fraction(2, 3), Fraction(5, 11)]),
+        "x": unit(A),
+        "b": unit(B),
+        "a": make_element(A, [Fraction(1, 2), 0]),
+    }
+    with pytest.raises(ValueError) as info:
+        eval_term(parse_term(text), env, A)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    terms, algebras_with_bindings(), st.sampled_from([-1, 1, 2]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6),
+)
+def test_eval_term_ignores_an_unreferenced_binding_from_another_algebra(t, bound, extra, v):
+    """The denominators come from A's bindings; w has another number of coordinates."""
+    A, env = bound
+    other = make_algebra((f"x{i + 1}", LINF) for i in range(len(A.factors) + extra))
+    wider = {"w": make_element(other, [v] * len(other.factors)), **env}
+    assert eval_term(t, wider, A) == eval_term(t, env, A)
+
+
+def test_eval_term_on_huge_denominators_matches_the_fraction_reference():
+    """A 10^12-step chain and three coprime 1,000-digit denominators stay cheap."""
+    A = parse_algebra("L1000000000001 * Linf")
+    step = 10 ** 12
+    p, q, r = 10 ** 999, 10 ** 999 + 1, 10 ** 999 - 1  # pairwise coprime
+    env = {
+        "x": make_element(A, [Fraction(1, step), Fraction(p // 3, p)]),
+        "y": make_element(A, [Fraction(step // 2 - 1, step), Fraction(q // 7, q)]),
+        "z": make_element(A, [Fraction(step - 3, step), Fraction(2 * r // 3, r)]),
+    }
+    texts = [
+        "x (+) y (+) z",
+        "~x (.) ~y -> z",
+        "(x -> y) /\\ (y -> z) \\/ ~(z (.) x)",
+        "((x (+) ~y) (.) (z -> x)) \\/ (y /\\ ~z (+) x (.) y)",
+        "~(x (.) y (.) z) -> (x /\\ y /\\ z)",
+    ]
+    for text in texts:
+        t = parse_term(text)
+        start = time.perf_counter()
+        value = eval_term(t, env, A)
+        assert time.perf_counter() - start < 1
+        assert value.coords == tuple(ref_eval(t, env, i) for i in range(2)), text
 
 
 def test_render_algebra():

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chmv import duality
+from chmv import duality, verify
 from chmv.algebra import (
     AlgebraMismatchError,
     enumerate_elements,
@@ -64,6 +65,36 @@ def test_apply_inclusion():
     L5 = make_algebra([("y", ChainSize(5))])
     inc = make_hom(L3, L5, {"y": "x"})
     assert apply_hom(inc, make_element(L3, [Fraction(1, 2)])).coords == (Fraction(1, 2),)
+
+
+def test_apply_onto_no_factor_and_one_factor_gives_tuples():
+    empty = make_algebra([])
+    f = make_element(L3xL2, [Fraction(1, 2), 1])
+    to_empty = make_hom(L3xL2, empty, {})
+    assert type(apply_hom(to_empty, f).coords) is tuple
+    assert apply_hom(to_empty, f).coords == ()
+    assert apply_hom(to_empty, f).algebra == empty
+    for label, value in (("a", Fraction(1, 2)), ("b", Fraction(1))):
+        image = apply_hom(projection(L3xL2, label), f)
+        assert type(image.coords) is tuple
+        assert image.coords == (value,)
+
+
+FAMILY = verify.algebra_family((2, 3, 4, None))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FAMILY), st.sampled_from(FAMILY), st.data())
+def test_apply_hom_reads_the_source_positions(A, B, data):
+    homs = list(enumerate_continuous_homs(A, B))
+    if not homs:
+        return
+    h = data.draw(st.sampled_from(homs))
+    for f in sample_elements(A, count=5, seed=data.draw(st.integers(0, 2 ** 16))):
+        image = apply_hom(h, f)
+        assert type(image.coords) is tuple
+        assert image.coords == tuple(f.coords[p] for p in h.source_positions)
+        assert image.algebra is B
 
 
 def test_apply_wrong_algebra():
