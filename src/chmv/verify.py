@@ -89,9 +89,12 @@ def suite_mv_axioms(max_n=7, rational_pairs=1000, seed=0) -> SuiteResult:
         rec.check(mv_op("neg", mv_op("neg", a)) == a, lambda: f"involution {where}")
         rec.check(mv_op("oplus", a, _ZERO) == a, lambda: f"zero identity {where}")
         rec.check(mv_op("oplus", a, _ONE) == _ONE, lambda: f"one absorbs {where}")
+        # both sides are a \/ b by definition, and a /\ b is its De Morgan dual
         lhs = mv_op("oplus", mv_op("neg", mv_op("oplus", mv_op("neg", a), b)), b)
         rhs = mv_op("oplus", mv_op("neg", mv_op("oplus", mv_op("neg", b), a)), a)
-        rec.check(lhs == rhs, lambda: f"MV axiom {where}")
+        meet = mv_op("neg", mv_op("join", mv_op("neg", a), mv_op("neg", b)))
+        ok = lhs == rhs == mv_op("join", a, b) and mv_op("meet", a, b) == meet
+        rec.check(ok, lambda: f"MV axiom, join and meet {where}")
         for kind in ("oplus", "odot", "meet", "join"):
             rec.check(_in_chain(mv_op(kind, a, b), c), lambda: f"closure {kind} {where}")
 
@@ -543,29 +546,33 @@ def suite_dsl(max_size=36) -> SuiteResult:
 
 # --- runner ---------------------------------------------------------------------------
 
+# The suites in run order: function name -> (takes the run's seed, small-scale
+# arguments).  Full scale is each suite's own defaults.
+SUITES: dict[str, tuple[bool, dict]] = {
+    "suite_mv_axioms": (True, {"max_n": 5, "rational_pairs": 200}),
+    "suite_ideals": (False, {"max_factors": 2}),
+    "suite_hom_oracle": (False, {"bound": 10 ** 4}),
+    "suite_duality": (False, {"mults": (1, 2, ms.INF), "max_points": 2}),
+    "suite_eta_epsilon": (True, {"mults": (1, 2, ms.INF), "max_points": 2}),
+    "suite_surjectivity": (False, {"sizes": (2, 3)}),
+    "suite_lifting": (True, {"instances": 20}),
+    "suite_separation": (False, {"max_points": 3}),
+    "suite_predicates": (False, {}),
+    "suite_dsl": (False, {"max_size": 16}),
+}
+
+
+def run_suite(fn_name: str, scale: str, seed: int = 0) -> SuiteResult:
+    """Run one suite of SUITES at scale "small" or "full"; the suite is looked up on
+    this module at each call, so one rebound here (say, to time it) is the one run."""
+    if scale not in ("small", "full"):
+        raise ValueError(f"unknown scale {scale!r}: expected 'small' or 'full'")
+    seeded, small = SUITES[fn_name]
+    kwargs = dict(small) if scale == "small" else {}
+    if seeded:
+        kwargs["seed"] = seed
+    return globals()[fn_name](**kwargs)
+
+
 def run_all(scale: str = "full", seed: int = 0) -> list[SuiteResult]:
-    if scale == "small":
-        return [
-            suite_mv_axioms(max_n=5, rational_pairs=200, seed=seed),
-            suite_ideals(max_factors=2),
-            suite_hom_oracle(bound=10 ** 4),
-            suite_duality(mults=(1, 2, ms.INF), max_points=2),
-            suite_eta_epsilon(mults=(1, 2, ms.INF), max_points=2, seed=seed),
-            suite_surjectivity(sizes=(2, 3)),
-            suite_lifting(instances=20, seed=seed),
-            suite_separation(max_points=3),
-            suite_predicates(),
-            suite_dsl(max_size=16),
-        ]
-    return [
-        suite_mv_axioms(seed=seed),
-        suite_ideals(),
-        suite_hom_oracle(),
-        suite_duality(),
-        suite_eta_epsilon(seed=seed),
-        suite_surjectivity(),
-        suite_lifting(seed=seed),
-        suite_separation(),
-        suite_predicates(),
-        suite_dsl(),
-    ]
+    return [run_suite(fn_name, scale, seed) for fn_name in SUITES]

@@ -7,7 +7,7 @@ check fail on purpose and read back the record it leaves.
 import pytest
 
 from chmv import duality, dsl, structure, verify
-from chmv.multiset import EMMorphism, INF
+from chmv.multiset import EMMorphism
 
 
 def test_a_passing_check_never_builds_its_message():
@@ -22,7 +22,7 @@ def test_a_passing_check_never_builds_its_message():
 
 
 def test_counit_failure_names_its_morphism_and_both_multisets(monkeypatch):
-    expected_checks = verify.suite_duality(mults=(1, 2, INF), max_points=2).checks
+    expected_checks = verify.run_suite("suite_duality", "small").checks
     X = dsl.parse_multiset("{a:2, b:2}")
     Y = dsl.parse_multiset("{a:1, b:2}")
     broken = duality.F_mor(EMMorphism(X, Y, (("a", "b"), ("b", "a"))))
@@ -30,7 +30,7 @@ def test_counit_failure_names_its_morphism_and_both_multisets(monkeypatch):
     monkeypatch.setattr(
         duality, "check_naturality_eq2", lambda psi: psi != broken and original(psi)
     )
-    result = verify.suite_duality(mults=(1, 2, INF), max_points=2)
+    result = verify.run_suite("suite_duality", "small")
     assert result.checks == expected_checks
     assert result.failures == [
         "counit naturality at {'a': 'b', 'b': 'a'} : {a:2, b:2} -> {a:1, b:2}"
@@ -46,6 +46,26 @@ def test_surjectivity_failure_names_its_hom_and_both_algebras(monkeypatch, flip)
     monkeypatch.setattr(
         structure, "is_surjective_hom", lambda h: original(h) != (h == wrong)
     )
-    result = verify.suite_surjectivity(sizes=(2, 3))
+    result = verify.run_suite("suite_surjectivity", "small")
     target = "x2" if flip else "x1"
     assert result.failures == [f"surjectivity of {{'x1': '{target}'}} : L2 * L3 -> L3"]
+
+
+def test_run_all_looks_up_each_suite_when_it_runs(monkeypatch):
+    stub = verify.SuiteResult("stub", 1)
+    calls = []
+
+    def suite_stub(**kwargs):
+        calls.append(kwargs)
+        return stub
+
+    monkeypatch.setattr(verify, "suite_lifting", suite_stub)
+    results = verify.run_all("small", seed=3)
+    assert calls == [{**verify.SUITES["suite_lifting"][1], "seed": 3}]
+    assert results[list(verify.SUITES).index("suite_lifting")] is stub
+
+
+def test_run_all_rejects_an_unknown_scale(monkeypatch):
+    monkeypatch.setattr(verify, "suite_mv_axioms", lambda **kwargs: pytest.fail("suite ran"))
+    with pytest.raises(ValueError, match="'small' or 'full'"):
+        verify.run_all("smal")
