@@ -152,7 +152,8 @@ def _trusted_element(A: ProductAlgebra, coords: tuple[Fraction, ...]) -> Element
 
 
 def make_element(A: ProductAlgebra, coords: Iterable) -> Element:
-    return Element(A, tuple(Fraction(v) for v in coords))
+    """An element of A; a coordinate that is already a Fraction is kept as it is."""
+    return Element(A, tuple(v if type(v) is Fraction else Fraction(v) for v in coords))
 
 
 def zero(A: ProductAlgebra) -> Element:

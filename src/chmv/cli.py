@@ -31,11 +31,6 @@ EXIT_DOMAIN = 1
 EXIT_INTERNAL = 2
 
 HOMS_LIST_LIMIT = 10 ** 4  # default --limit: largest hom set that list mode enumerates
-# Python reads and prints integers of at most 4300 digits (the default of
-# sys.set_int_max_str_digits), so eval refuses longer numerators and denominators
-# and homs refuses longer counts.
-COORD_MAX_DIGITS = 4300
-_DIGITS_BOUND = 10 ** COORD_MAX_DIGITS
 
 
 @dataclass
@@ -99,8 +94,8 @@ def cmd_homs(args: argparse.Namespace) -> CommandResult:
         raise ValueError("source and target must both be algebras or both multisets")
     count = ms.morphism_count if isinstance(a, ms.EMultiset) else dual.continuous_hom_count
     total = count(a, b)
-    if total >= _DIGITS_BOUND:
-        raise ValueError(f"the number of maps has more than {COORD_MAX_DIGITS} digits")
+    if total >= dsl.DIGITS_BOUND:  # too long for Python to print
+        raise ValueError(f"the number of maps has more than {dsl.MAX_DIGITS} digits")
     if args.mode != "list":
         return CommandResult("ok", {"count": total})
     if total > args.limit:
@@ -122,7 +117,7 @@ _EXPONENT_RE = re.compile(
 
 
 def _too_long(where: str) -> ValueError:
-    return ValueError(f"{where}: numerator or denominator longer than {COORD_MAX_DIGITS} digits")
+    return ValueError(f"{where}: numerator or denominator longer than {dsl.MAX_DIGITS} digits")
 
 
 def _parse_coordinate(text: str, where: str) -> Fraction:
@@ -130,10 +125,10 @@ def _parse_coordinate(text: str, where: str) -> Fraction:
         raise ValueError(
             f"coordinate {text!r} uses exponent notation; write an integer, p/q or a decimal"
         )
-    if any(len(run) > COORD_MAX_DIGITS for run in re.findall(r"\d+", text.replace("_", ""))):
+    if any(len(run) > dsl.MAX_DIGITS for run in re.findall(r"\d+", text.replace("_", ""))):
         raise _too_long(where)
     value = Fraction(text)
-    if max(abs(value.numerator), value.denominator) >= _DIGITS_BOUND:
+    if max(abs(value.numerator), value.denominator) >= dsl.DIGITS_BOUND:
         raise _too_long(where)
     return value
 
@@ -162,7 +157,7 @@ def cmd_eval(args: argparse.Namespace) -> CommandResult:
             env[name] = _parse_element(value, A, f"binding {name!r}")
     result = dsl.eval_term(term, env, A)
     for lbl, v in zip(A.labels, result.coords):
-        if v.denominator >= _DIGITS_BOUND:  # 0 <= v <= 1: the numerator is no longer
+        if v.denominator >= dsl.DIGITS_BOUND:  # 0 <= v <= 1: the numerator is no longer
             raise _too_long(f"result at {lbl!r}")
     return CommandResult(
         "ok", {"coords": {lbl: str(v) for lbl, v in zip(A.labels, result.coords)}}

@@ -7,17 +7,22 @@ Terms: constants 0 and 1, identifiers, "~" for negation, "(+)" truncated
 sum, "(.)" the dual product, "/\\" meet, "\\/" join, "->" implication;
 precedence from tightest to loosest is ~, (.), (+), /\\, \\/, ->, all
 binaries left-associative.
+
+A ParseError carries the character offset of the offending token in the
+input text.  The parser reads the tokens as plain strings, so the offset is
+found only when an error is raised, by scanning the text again.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .algebra import AlgebraError, Element, ProductAlgebra, _trusted_element, make_algebra
 from .chain import MV_KERNELS, ChainError, ChainSize, LINF
@@ -41,78 +46,101 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token(NamedTuple):
-    text: str
-    position: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        t = m.group()
-        if len(t) == 1 and not (t.isalnum() or t in "~()[]{}:,*_"):
-            raise ParseError(f"unexpected character {t!r}", m.start())
-        tokens.append(_Token(t, m.start()))
-    return tokens
+def _token_start(text: str, index: int) -> int:
+    """The character offset of token number index of text, or len(text) past the last."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), index, None), None)
+    return len(text) if m is None else m.start()
 
 
 class _Cursor:
+    """The tokens of text as plain strings; a position is computed only for an error."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
         self.pos = 0
-        self.length = len(text)
+        for t in self.tokens:
+            if len(t) == 1 and not (t.isalnum() or t in "~()[]{}:,*_"):
+                index = self.tokens.index(t)  # the first bad token: equal tokens are equally bad
+                raise ParseError(f"unexpected character {t!r}", _token_start(text, index))
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos].text if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def here(self) -> int:
-        return (
-            self.tokens[self.pos].position if self.pos < len(self.tokens) else self.length
-        )
+        """The position of the next token."""
+        return _token_start(self.text, self.pos)
 
-    def next(self) -> _Token:
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of input", self.length)
-        tok = self.tokens[self.pos]
+    def error(self, message: str) -> ParseError:
+        """A ParseError at the token just read."""
+        return ParseError(message, _token_start(self.text, self.pos - 1))
+
+    def next(self) -> str:
+        try:
+            tok = self.tokens[self.pos]
+        except IndexError:
+            raise ParseError("unexpected end of input", len(self.text)) from None
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.position)
-        return tok
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok!r}")
 
     def done(self) -> None:
         if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            raise ParseError(f"trailing input {tok.text!r}", tok.position)
+            raise ParseError(f"trailing input {self.tokens[self.pos]!r}", self.here())
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 _CHAIN_RE = re.compile(r"L(\d+)\Z")
 
+# Python reads and prints integers below 10^4300 (the default of
+# sys.set_int_max_str_digits); cli's eval and homs refuse larger numbers too.
+# A chain size n prints as Ln and, in its dual, as the multiplicity n - 1; a
+# multiplicity m as m and as the chain L(m+1).  So chain sizes are refused from
+# DIGITS_BOUND on and multiplicities from DIGITS_BOUND - 1 on: the dual of every
+# accepted object prints and parses back.
+MAX_DIGITS = 4300
+DIGITS_BOUND = 10 ** MAX_DIGITS
+_CHAIN_LIMIT = f"chain size must be below 10^{MAX_DIGITS}"
+_MULT_LIMIT = f"multiplicity must be below 10^{MAX_DIGITS} - 1"
 
-def _parse_chain_size(tok: _Token) -> ChainSize:
-    if tok.text == "Linf":
+
+def _decimal_below(cur: _Cursor, digits: str, bound: int, message: str) -> int:
+    """The value of the decimal digits of the last token read, which must be below bound."""
+    digits = digits.lstrip("0") or "0"  # int() counts leading zeros against its limit
+    value = int(digits) if len(digits) <= MAX_DIGITS else bound
+    if value >= bound:
+        raise cur.error(message)
+    return value
+
+
+def _parse_chain_size(cur: _Cursor) -> ChainSize:
+    tok = cur.next()
+    if tok == "Linf":
         return LINF
-    m = _CHAIN_RE.match(tok.text)
+    m = _CHAIN_RE.match(tok)
     if not m:
-        raise ParseError(f"expected a chain like L3 or Linf, found {tok.text!r}", tok.position)
+        raise cur.error(f"expected a chain like L3 or Linf, found {tok!r}")
+    n = _decimal_below(cur, m.group(1), DIGITS_BOUND, _CHAIN_LIMIT)
     try:
-        return ChainSize(int(m.group(1)))
+        return ChainSize(n)
     except ChainError as exc:
-        raise ParseError(str(exc), tok.position) from None
+        raise cur.error(str(exc)) from None
 
 
-def _parse_mult(tok: _Token) -> Mult:
-    if tok.text == "inf":
+def _parse_mult(cur: _Cursor) -> Mult:
+    tok = cur.next()
+    if tok == "inf":
         return INF
-    if not tok.text.isdigit():
-        raise ParseError(f"expected a multiplicity or 'inf', found {tok.text!r}", tok.position)
-    if int(tok.text) < 1:
-        raise ParseError("multiplicity must be at least 1", tok.position)
-    return int(tok.text)
+    if not tok.isdecimal():
+        raise cur.error(f"expected a multiplicity or 'inf', found {tok!r}")
+    m = _decimal_below(cur, tok, DIGITS_BOUND - 1, _MULT_LIMIT)
+    if m < 1:
+        raise cur.error("multiplicity must be at least 1")
+    return m
 
 
 def _labelled(cur: _Cursor, open: str, close: str, value) -> tuple[tuple[str, object], ...]:
@@ -122,10 +150,10 @@ def _labelled(cur: _Cursor, open: str, close: str, value) -> tuple[tuple[str, ob
     if cur.peek() != close:
         while True:
             label = cur.next()
-            if not _IDENT_RE.match(label.text):
-                raise ParseError(f"expected a label, found {label.text!r}", label.position)
+            if not _IDENT_RE.match(label):
+                raise cur.error(f"expected a label, found {label!r}")
             cur.expect(":")
-            entries.append((label.text, value(cur.next())))
+            entries.append((label, value(cur)))
             if cur.peek() != ",":
                 break
             cur.next()
@@ -142,10 +170,10 @@ def parse_algebra(text: str) -> ProductAlgebra:
             return make_algebra(factors)
         except AlgebraError as exc:
             raise ParseError(str(exc), 0) from None
-    chains = [_parse_chain_size(cur.next())]
+    chains = [_parse_chain_size(cur)]
     while cur.peek() == "*":
         cur.next()
-        chains.append(_parse_chain_size(cur.next()))
+        chains.append(_parse_chain_size(cur))
     cur.done()
     return make_algebra((f"x{i + 1}", c) for i, c in enumerate(chains))
 
@@ -249,15 +277,15 @@ def _parse_unary(cur: _Cursor, depth: int) -> Term:
 
 def _parse_atom(cur: _Cursor, depth: int) -> Term:
     tok = cur.next()
-    if tok.text == "(":
+    if tok == "(":
         inner = _parse_binary(cur, 0, depth + 1)
         cur.expect(")")
         return inner
-    if tok.text in ("0", "1"):
-        return Const(int(tok.text))
-    if _IDENT_RE.match(tok.text):
-        return Var(tok.text)
-    raise ParseError(f"expected a term, found {tok.text!r}", tok.position)
+    if tok in ("0", "1"):
+        return Const(int(tok))
+    if _IDENT_RE.match(tok):
+        return Var(tok)
+    raise cur.error(f"expected a term, found {tok!r}")
 
 
 _fraction = lru_cache(maxsize=1024)(Fraction)  # eval_term's root values recur; immutable

@@ -65,6 +65,20 @@ def test_dual_of_empty_multiset(capsys):
     assert doc["payload"]["object"]["factors"] == []
 
 
+def test_dual_round_trips_the_largest_multiplicity_and_chain_size(capsys):
+    """The largest accepted multiplicity and chain size are each other's duals."""
+    mult, size = 10 ** 4300 - 2, 10 ** 4300 - 1  # 4300 digits each
+    code, doc, _ = run_json(capsys, "dual", f"{{a:{mult}}}")
+    assert code == EXIT_OK and doc["payload"]["dual"] == f"L{size}"
+    code, doc, _ = run_json(capsys, "dual", doc["payload"]["dual"])
+    assert code == EXIT_OK and doc["payload"]["dual"] == f"{{x1:{mult}}}"
+    for spec, message in [
+        (f"{{a:{mult + 1}}}", "multiplicity must be below 10^4300 - 1 (at position 3)"),
+        ("L1" + "0" * 4300, "chain size must be below 10^4300 (at position 0)"),
+    ]:
+        assert run(capsys, "dual", spec) == (EXIT_DOMAIN, "", message + "\n")
+
+
 @pytest.mark.parametrize(
     "argv, payload",
     [

@@ -1,4 +1,6 @@
+import ast
 import itertools
+import re
 import time
 from fractions import Fraction
 
@@ -54,6 +56,14 @@ def test_parse_multiset():
     assert parse_multiset("{}").points == ()
 
 
+def test_parse_leading_zeros_do_not_count_against_the_digit_limit():
+    zeros = "0" * 5000
+    assert parse_multiset(f"{{a:{zeros}7}}").points == (("a", 7),)
+    assert parse_algebra(f"L{zeros}3").factors == (("x1", ChainSize(3)),)
+    with pytest.raises(ParseError, match="at least 1"):
+        parse_multiset(f"{{a:{zeros}}}")
+
+
 def test_parse_multiset_zero_multiplicity():
     with pytest.raises(ParseError):
         parse_multiset("{a:0}")
@@ -63,6 +73,10 @@ def test_parse_multiset_syntax_errors():
     for bad in ("{a}", "{a:2", "{a:b}", "{a:2,}"):
         with pytest.raises(ParseError):
             parse_multiset(bad)
+
+
+TOO_LONG_MULT = "multiplicity must be below 10^4300 - 1"
+TOO_LONG_CHAIN = "chain size must be below 10^4300"
 
 
 @pytest.mark.parametrize(
@@ -79,6 +93,28 @@ def test_parse_multiset_syntax_errors():
         (parse_multiset, "{a:b}", "expected a multiplicity or 'inf', found 'b'", 3),
         (parse_multiset, "{a:0}", "multiplicity must be at least 1", 3),
         (parse_multiset, "{a:2", "unexpected end of input", 4),
+        (parse_multiset, "{a:²}", "expected a multiplicity or 'inf', found '²'", 3),
+        pytest.param(parse_multiset, "{a:" + "9" * 4300 + "}", TOO_LONG_MULT, 3, id="mult-4300"),
+        pytest.param(parse_multiset, "{a:1, b:" + "9" * 5000 + "}", TOO_LONG_MULT, 8,
+                     id="mult-5000"),
+        pytest.param(parse_algebra, "L" + "9" * 5000, TOO_LONG_CHAIN, 0, id="chain-5000"),
+        pytest.param(parse_algebra, "[a: L2, b: L1" + "0" * 4300 + "]", TOO_LONG_CHAIN, 11,
+                     id="labelled-chain-4301"),
+        (parse_algebra, "L2 # L3", "unexpected character '#'", 3),
+        (parse_algebra, "L2 L3", "trailing input 'L3'", 3),
+        (parse_algebra, "L2 *", "unexpected end of input", 4),
+        (parse_algebra, "L2 * L1", "chain size must be an integer >= 2, got 1", 5),
+        (parse_multiset, "{a:2 b:3}", "expected '}', found 'b'", 5),
+        (parse_term, "x + y", "unexpected character '+'", 2),
+        (parse_term, "x -> y - z", "unexpected character '-'", 7),
+        (parse_term, "x # y # z", "unexpected character '#'", 2),
+        (parse_term, "x y", "trailing input 'y'", 2),
+        (parse_term, "x (+) )", "expected a term, found ')'", 6),
+        (parse_term, "(x y", "expected ')', found 'y'", 3),
+        (parse_term, "x (+)", "unexpected end of input", 5),
+        (parse_term, "x (+) ~", "unexpected end of input", 7),
+        pytest.param(parse_term, "(" * 101 + "x", "term nests deeper than 100 levels", 101,
+                     id="term-too-deep"),
     ],
 )
 def test_labelled_parse_errors_keep_message_and_position(parse, text, message, position):
@@ -86,6 +122,32 @@ def test_labelled_parse_errors_keep_message_and_position(parse, text, message, p
         parse(text)
     assert str(err.value) == f"{message} (at position {position})"
     assert err.value.position == position
+
+
+# The DSL's tokens, a few stray characters, and blanks
+DSL_PIECES = [
+    "L2", "L1", "L3", "Linf", "inf", "0", "1", "2", "07", "a", "x", "y", "_b",
+    "[", "]", "{", "}", "(", ")", ":", ",", "*", "~", "(+)", "(.)", "/\\", "\\/", "->",
+    "+", "-", ".", "/", "\\", ">", "#", "'", '"', "²", "é", " ", "  ", "\t",
+]
+QUOTED_TOKEN = re.compile(r"(?:found|character|input) ('.*'|\".*\")$")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(DSL_PIECES), max_size=12).map("".join))
+def test_parse_error_positions_point_into_the_text(text):
+    """Each ParseError sits in the text, at the token its message quotes, or at the end."""
+    for parse in (parse_algebra, parse_multiset, parse_term):
+        try:
+            parse(text)
+        except ParseError as err:
+            message = str(err).rsplit(" (at position ", 1)[0]
+            assert 0 <= err.position <= len(text)
+            quoted = QUOTED_TOKEN.search(message)
+            if quoted:
+                assert text.startswith(ast.literal_eval(quoted.group(1)), err.position)
+            if message == "unexpected end of input":
+                assert err.position == len(text)
 
 
 def test_parse_term_tautology_shape():
