@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -88,25 +90,29 @@ def cmd_dual(args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_homs(args: argparse.Namespace) -> CommandResult:
-    """Count the maps by the product formula, or list them when there are at most --limit."""
+    """Count the maps by the product formula, or list them when there are at most --limit.
+
+    Both modes read one list of admissible choices per coordinate: the count
+    is the product of their lengths, and list mode writes each pick as a
+    dict in product order (first coordinate slowest), the order of
+    enumerate_morphisms and enumerate_continuous_homs.
+    """
     a, b = _parse_object(_read_arg(args.src)), _parse_object(_read_arg(args.dst))
     if isinstance(a, ms.EMultiset) != isinstance(b, ms.EMultiset):
         raise ValueError("source and target must both be algebras or both multisets")
-    count = ms.morphism_count if isinstance(a, ms.EMultiset) else dual.continuous_hom_count
-    total = count(a, b)
+    if isinstance(a, ms.EMultiset):
+        key, labels, choices = "map", a.labels, ms.admissible_images(a, b)
+    else:
+        key, labels, choices = "index_map", b.labels, dual.admissible_sources(a, b)
+    total = math.prod(map(len, choices))
     if total >= dsl.DIGITS_BOUND:  # too long for Python to print
         raise ValueError(f"the number of maps has more than {dsl.MAX_DIGITS} digits")
     if args.mode != "list":
         return CommandResult("ok", {"count": total})
     if total > args.limit:
         raise ValueError(f"{total} maps exceed --limit {args.limit}; count them with --mode count")
-    if isinstance(a, ms.EMultiset):
-        listing = [{"map": dict(m.mapping)} for m in ms.enumerate_morphisms(a, b)]
-    else:
-        listing = [
-            {"index_map": dict(h.index_map)} for h in dual.enumerate_continuous_homs(a, b)
-        ]
-    return CommandResult("ok", {"count": len(listing), "homs": listing})
+    listing = [{key: dict(zip(labels, pick))} for pick in itertools.product(*choices)]
+    return CommandResult("ok", {"count": total, "homs": listing})
 
 
 # Fraction() also reads exponent notation and builds the power of ten in full,

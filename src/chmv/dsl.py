@@ -135,7 +135,7 @@ def _parse_mult(cur: _Cursor) -> Mult:
     tok = cur.next()
     if tok == "inf":
         return INF
-    if not tok.isdecimal():
+    if not (tok.isascii() and tok.isdecimal()):  # \d+ also reads other scripts' digits
         raise cur.error(f"expected a multiplicity or 'inf', found {tok!r}")
     m = _decimal_below(cur, tok, DIGITS_BOUND - 1, _MULT_LIMIT)
     if m < 1:
@@ -144,7 +144,10 @@ def _parse_mult(cur: _Cursor) -> Mult:
 
 
 def _labelled(cur: _Cursor, open: str, close: str, value) -> tuple[tuple[str, object], ...]:
-    """The whole input as `open label: value, ... close`; value reads one token."""
+    """The whole input as `open label: value, ... close`; value reads one token.
+
+    So label i is token 1 + 4i, which _repeated_label reads back.
+    """
     cur.expect(open)
     entries = []
     if cur.peek() != close:
@@ -162,6 +165,16 @@ def _labelled(cur: _Cursor, open: str, close: str, value) -> tuple[tuple[str, ob
     return tuple(entries)
 
 
+def _repeated_label(text: str, entries) -> int:
+    """The position in text of the first label that repeats an earlier one, 0 if none does."""
+    seen = set()
+    for i, (label, _) in enumerate(entries):
+        if label in seen:
+            return _token_start(text, 1 + 4 * i)
+        seen.add(label)
+    return 0
+
+
 def parse_algebra(text: str) -> ProductAlgebra:
     cur = _Cursor(text)
     if cur.peek() == "[":
@@ -169,7 +182,7 @@ def parse_algebra(text: str) -> ProductAlgebra:
         try:
             return make_algebra(factors)
         except AlgebraError as exc:
-            raise ParseError(str(exc), 0) from None
+            raise ParseError(str(exc), _repeated_label(text, factors)) from None
     chains = [_parse_chain_size(cur)]
     while cur.peek() == "*":
         cur.next()
@@ -183,7 +196,7 @@ def parse_multiset(text: str) -> EMultiset:
     try:
         return EMultiset(points)
     except MultisetError as exc:
-        raise ParseError(str(exc), 0) from None
+        raise ParseError(str(exc), _repeated_label(text, points)) from None
 
 
 # --- terms ------------------------------------------------------------------
@@ -224,67 +237,73 @@ _PREC = {op: level for level, (op, _) in enumerate(_BINARY_LEVELS)}
 # far below the interpreter's recursion limit (the parser uses at most three
 # frames per level).
 MAX_TERM_DEPTH = 100
+_TOO_DEEP = f"term nests deeper than {MAX_TERM_DEPTH} levels"
 
 
 def parse_term(text: str) -> Term:
     """Parse a term no deeper than MAX_TERM_DEPTH, else raise ParseError.
 
     Depth counts negations, binary operators and parentheses along a path.
+    The term's height is found as it is built; a term too high is reported
+    after any syntax error, at the token where it first grew too high: the
+    operand of a run of negations, or the operator that lengthens a chain.
     """
     cur = _Cursor(text)
-    term = _parse_binary(cur, 0, 0)
+    cur.too_high = None  # index of that token
+    term, height = _parse_binary(cur, 0, 0)
     cur.done()
-    if _height(term) > MAX_TERM_DEPTH:
-        raise ParseError(f"term nests deeper than {MAX_TERM_DEPTH} levels", 0)
+    if height > MAX_TERM_DEPTH:
+        raise ParseError(_TOO_DEEP, _token_start(text, cur.too_high))
     return term
 
 
-def _height(t: Term) -> int:
-    """Nodes on the longest root-to-leaf path, counted without recursion."""
-    height, stack = 0, [(t, 1)]
-    while stack:
-        t, h = stack.pop()
-        height = max(height, h)
-        if isinstance(t, Neg):
-            stack.append((t.arg, h + 1))
-        elif isinstance(t, BinOp):
-            stack += [(t.left, h + 1), (t.right, h + 1)]
-    return height
+def _parse_binary(cur: _Cursor, min_level: int, depth: int) -> tuple[Term, int]:
+    """Precedence climbing over the binaries at min_level or tighter, left-associative.
 
-
-def _parse_binary(cur: _Cursor, min_level: int, depth: int) -> Term:
-    """Precedence climbing over the binaries at min_level or tighter, left-associative."""
+    Each _parse_* returns the term and its height, the nodes on its longest path.
+    """
     if depth > MAX_TERM_DEPTH:
-        raise ParseError(f"term nests deeper than {MAX_TERM_DEPTH} levels", cur.here())
-    left = _parse_unary(cur, depth)
+        raise ParseError(_TOO_DEEP, cur.here())
+    left, height = _parse_unary(cur, depth)
     while (entry := _LEVEL_OF.get(cur.peek())) is not None and entry[0] >= min_level:
         level, op = entry
+        at = cur.pos
         cur.next()
-        left = BinOp(op, left, _parse_binary(cur, level + 1, depth + 1))
-    return left
+        right, right_height = _parse_binary(cur, level + 1, depth + 1)
+        left = BinOp(op, left, right)
+        height = (height if height > right_height else right_height) + 1
+        if height > MAX_TERM_DEPTH and cur.too_high is None:
+            cur.too_high = at
+    return left, height
 
 
-def _parse_unary(cur: _Cursor, depth: int) -> Term:
+def _parse_unary(cur: _Cursor, depth: int) -> tuple[Term, int]:
     negations = 0
     while cur.peek() == "~":
         cur.next()
         negations += 1
-    term = _parse_atom(cur, depth + negations)
+    if not negations:
+        return _parse_atom(cur, depth)
+    at = cur.pos
+    term, height = _parse_atom(cur, depth + negations)
     for _ in range(negations):
         term = Neg(term)
-    return term
+    height += negations
+    if height > MAX_TERM_DEPTH and cur.too_high is None:
+        cur.too_high = at
+    return term, height
 
 
-def _parse_atom(cur: _Cursor, depth: int) -> Term:
+def _parse_atom(cur: _Cursor, depth: int) -> tuple[Term, int]:
     tok = cur.next()
     if tok == "(":
         inner = _parse_binary(cur, 0, depth + 1)
         cur.expect(")")
         return inner
     if tok in ("0", "1"):
-        return Const(int(tok))
+        return Const(int(tok)), 1
     if _IDENT_RE.match(tok):
-        return Var(tok)
+        return Var(tok), 1
     raise cur.error(f"expected a term, found {tok!r}")
 
 

@@ -129,8 +129,14 @@ def compose_homs(g: ContinuousHom, h: ContinuousHom) -> ContinuousHom:
     return _trusted_hom(h.source, g.target, tuple((z, h_map[x]) for z, x in g.index_map))
 
 
-def _source_choices(A: ProductAlgebra, B: ProductAlgebra) -> list[list[str]]:
-    """For each coordinate of B, the coordinates of A whose chain it includes."""
+def admissible_sources(A: ProductAlgebra, B: ProductAlgebra) -> list[list[str]]:
+    """For each coordinate of B, in order, the coordinates of A whose chain it includes.
+
+    The homs A -> B are exactly the picks of one entry per list, so the
+    lists have three readers: continuous_hom_count multiplies their lengths,
+    enumerate_continuous_homs builds a hom per pick, and the CLI's homs
+    command counts and lists the picks without building homs.
+    """
     return [[x for x, cx in A.factors if chain_subset(cx, cy)] for _, cy in B.factors]
 
 
@@ -138,13 +144,13 @@ def enumerate_continuous_homs(
     A: ProductAlgebra, B: ProductAlgebra
 ) -> Iterator[ContinuousHom]:
     """All continuous homs A -> B: every admissible index map, each once."""
-    for sources in itertools.product(*_source_choices(A, B)):
+    for sources in itertools.product(*admissible_sources(A, B)):
         yield _trusted_hom(A, B, tuple(zip(B.labels, sources)))
 
 
 def continuous_hom_count(A: ProductAlgebra, B: ProductAlgebra) -> int:
     """Product of per-coordinate admissible-source counts."""
-    return math.prod(map(len, _source_choices(A, B)))
+    return math.prod(map(len, admissible_sources(A, B)))
 
 
 def element_map(h: ContinuousHom) -> dict[Element, Element]:

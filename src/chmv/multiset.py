@@ -133,20 +133,26 @@ def compose_morphisms(psi: EMMorphism, phi: EMMorphism) -> EMMorphism:
     return _trusted_morphism(phi.source, psi.target, tuple((x, psi_map[y]) for x, y in phi.mapping))
 
 
-def _image_choices(X: EMultiset, Y: EMultiset) -> list[list[str]]:
-    """For each point of X, the points of Y it may map to."""
+def admissible_images(X: EMultiset, Y: EMultiset) -> list[list[str]]:
+    """For each point of X, in order, the points of Y it may map to.
+
+    The maps X -> Y are exactly the picks of one entry per list, so the
+    lists have three readers: morphism_count multiplies their lengths,
+    enumerate_morphisms builds a morphism per pick, and the CLI's homs
+    command counts and lists the picks without building morphisms.
+    """
     return [[y for y in Y.labels if mult_divides(Y.mults[y], X.mults[x])] for x in X.labels]
 
 
 def enumerate_morphisms(X: EMultiset, Y: EMultiset) -> Iterator[EMMorphism]:
     """All morphisms X -> Y, one choice of admissible image per point."""
-    for images in itertools.product(*_image_choices(X, Y)):
+    for images in itertools.product(*admissible_images(X, Y)):
         yield _trusted_morphism(X, Y, tuple(zip(X.labels, images)))
 
 
 def morphism_count(X: EMultiset, Y: EMultiset) -> int:
     """Product of per-point admissible-image counts."""
-    return math.prod(map(len, _image_choices(X, Y)))
+    return math.prod(map(len, admissible_images(X, Y)))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chmv import cli
+from chmv import cli, dsl
+from chmv.algebra import make_algebra
+from chmv.chain import ChainSize, LINF
 from chmv.cli import EXIT_DOMAIN, EXIT_OK, build_parser, main
+from chmv.duality import continuous_hom_count, enumerate_continuous_homs
+from chmv.multiset import INF, EMultiset, enumerate_morphisms, morphism_count
 
 
 def run(capsys, *argv):
@@ -199,6 +203,46 @@ def test_homs_prints_a_count_at_the_digit_limit(capsys):
     assert code == EXIT_DOMAIN and doc["diagnostics"] == [TOO_MANY_DIGITS]
 
 
+_labels = st.lists(st.sampled_from("abcd"), unique=True, max_size=3)
+_small_multisets = _labels.flatmap(lambda labels: st.lists(
+    st.sampled_from([1, 2, 3, 4, 6, INF]), min_size=len(labels), max_size=len(labels)
+).map(lambda mults: EMultiset(tuple(zip(labels, mults)))))
+_small_algebras = _labels.flatmap(lambda labels: st.lists(
+    st.sampled_from([ChainSize(2), ChainSize(3), ChainSize(4), ChainSize(5), LINF]),
+    min_size=len(labels), max_size=len(labels),
+).map(lambda chains: make_algebra(zip(labels, chains))))
+_hom_pairs = st.one_of(
+    st.tuples(_small_multisets, _small_multisets),
+    st.tuples(_small_algebras, _small_algebras),
+    st.sampled_from([
+        (EMultiset(()), EMultiset(())),
+        (make_algebra(()), make_algebra(())),
+        (EMultiset((("a", 1),)), EMultiset(())),  # no map: a point has nowhere to go
+        (make_algebra((("x", LINF),)), make_algebra((("y", ChainSize(2)),))),  # no hom
+    ]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_hom_pairs)
+def test_homs_lists_what_the_library_enumerates_in_its_order(pair):
+    """The CLI reads the admissible choices itself; it must agree with enumerate_*."""
+    src, dst = pair
+    if isinstance(src, EMultiset):
+        key, maps = "map", [m.mapping for m in enumerate_morphisms(src, dst)]
+        count = morphism_count(src, dst)
+    else:
+        key, maps = "index_map", [h.index_map for h in enumerate_continuous_homs(src, dst)]
+        count = continuous_hom_count(src, dst)
+    argv = ["--format", "json", "homs", dsl.render(src), dsl.render(dst)]
+    code, out = _call(argv + ["--mode", "list"])
+    assert code == EXIT_OK
+    payload = json.loads(out)["payload"]
+    assert payload["count"] == count == len(maps)
+    assert [list(h[key].items()) for h in payload["homs"]] == [list(m) for m in maps]
+    assert json.loads(_call(argv)[1])["payload"] == {"count": count}
+
+
 def test_homs_mixed_kinds_rejected(capsys):
     code, out, err = run(capsys, "homs", "{a:1}", "L2")
     assert code == EXIT_DOMAIN
@@ -245,6 +289,12 @@ def test_eval_duplicate_or_empty_binding_is_domain_error(capsys, env, message):
     assert code == EXIT_DOMAIN
     assert out == ""
     assert err.strip() == message
+
+
+def test_multiplicities_are_ascii_digits(capsys):
+    message = "expected a multiplicity or 'inf', found '\u0663' (at position 3)\n"
+    assert run(capsys, "classify", "{a:\u0663}") == (EXIT_DOMAIN, "", message)
+    assert run(capsys, "classify", "{a:3}")[0] == EXIT_OK
 
 
 @pytest.mark.parametrize("term", ["~" * 5000 + "x", "(" * 3000 + "x" + ")" * 3000])

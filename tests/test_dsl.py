@@ -77,6 +77,7 @@ def test_parse_multiset_syntax_errors():
 
 TOO_LONG_MULT = "multiplicity must be below 10^4300 - 1"
 TOO_LONG_CHAIN = "chain size must be below 10^4300"
+TOO_DEEP = "term nests deeper than 100 levels"
 
 
 @pytest.mark.parametrize(
@@ -113,8 +114,20 @@ TOO_LONG_CHAIN = "chain size must be below 10^4300"
         (parse_term, "(x y", "expected ')', found 'y'", 3),
         (parse_term, "x (+)", "unexpected end of input", 5),
         (parse_term, "x (+) ~", "unexpected end of input", 7),
-        pytest.param(parse_term, "(" * 101 + "x", "term nests deeper than 100 levels", 101,
-                     id="term-too-deep"),
+        (parse_multiset, "{a:\u0663}", "expected a multiplicity or 'inf', found '\u0663'", 3),
+        (parse_multiset, "{a:1, b:2, a:3}", "duplicate point labels in ['a', 'b', 'a']", 11),
+        (parse_algebra, "[a: L2, b: L3, a: L3]", "duplicate factor labels in ['a', 'b', 'a']",
+         15),
+        (parse_algebra, "[ a : L2 , a : L2 , a : L2 ]",
+         "duplicate factor labels in ['a', 'a', 'a']", 11),
+        pytest.param(parse_term, "(" * 101 + "x", TOO_DEEP, 101, id="term-too-deep"),
+        pytest.param(parse_term, "~" * 100 + "x", TOO_DEEP, 100, id="negations-too-deep"),
+        pytest.param(parse_term, "~" * 101 + "x", TOO_DEEP, 101, id="negations-past-the-limit"),
+        pytest.param(parse_term, "x" + " (+) x" * 100, TOO_DEEP, 596, id="chain-too-deep"),
+        pytest.param(parse_term, "x" + " -> x" * 150, TOO_DEEP, 497, id="chain-past-the-limit"),
+        pytest.param(parse_term, "x (+) " + "~" * 99 + "x", TOO_DEEP, 2, id="operator-too-deep"),
+        pytest.param(parse_term, "~" * 100 + "x )", "trailing input ')'", 102,
+                     id="syntax-error-before-depth"),
     ],
 )
 def test_labelled_parse_errors_keep_message_and_position(parse, text, message, position):
@@ -209,6 +222,10 @@ def test_parse_term_at_depth_limit():
     with pytest.raises(ParseError):
         parse_term("~" * MAX_TERM_DEPTH + "x")
     assert parse_term("(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH) == Var("x")
+    chain = parse_term("x" + " (+) x" * (MAX_TERM_DEPTH - 1))
+    assert render(chain).count("(+)") == MAX_TERM_DEPTH - 1
+    with pytest.raises(ParseError):
+        parse_term("x" + " (+) x" * MAX_TERM_DEPTH)
 
 
 terms = st.recursive(
