@@ -5,6 +5,13 @@ dual (apply the appropriate functor), homs (hom-set enumeration or
 counting), eval (evaluate an MV term), selftest (run the verification
 suites).  Exit codes: 0 ok, 1 domain or usage error, 2 internal invariant
 breach.
+
+The grammar is declared once, in the COMMANDS table.  Two readers share it:
+_recognize turns a command line of the plain shape (`--opt value` pairs,
+operands that do not start with '-') straight into the Namespace, and
+build_parser makes the argparse parser that handles everything else: help,
+usage errors and other spellings such as `--opt=value` or abbreviations.
+argparse is built only when a command line needs it.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -122,29 +130,32 @@ _EXPONENT_RE = re.compile(
 )
 
 
-def _too_long(where: str) -> ValueError:
-    return ValueError(f"{where}: numerator or denominator longer than {dsl.MAX_DIGITS} digits")
+_TOO_LONG = f"numerator or denominator longer than {dsl.MAX_DIGITS} digits"
 
 
-def _parse_coordinate(text: str, where: str) -> Fraction:
+def _parse_coordinate(text: str) -> Fraction:
     if _EXPONENT_RE.fullmatch(text):
         raise ValueError(
             f"coordinate {text!r} uses exponent notation; write an integer, p/q or a decimal"
         )
     if any(len(run) > dsl.MAX_DIGITS for run in re.findall(r"\d+", text.replace("_", ""))):
-        raise _too_long(where)
+        raise ValueError(_TOO_LONG)
     value = Fraction(text)
     if max(abs(value.numerator), value.denominator) >= dsl.DIGITS_BOUND:
-        raise _too_long(where)
+        raise ValueError(_TOO_LONG)
     return value
 
 
 def _parse_element(text: str, A: alg.ProductAlgebra, where: str) -> alg.Element:
+    """The element written `(c1, ..., cn)`; every error it raises starts with `where`."""
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
     parts = [p.strip() for p in body.split(",")] if body else []
-    return alg.make_element(A, [_parse_coordinate(p, where) for p in parts])
+    try:
+        return alg.make_element(A, [_parse_coordinate(p) for p in parts])
+    except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the latter
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def cmd_eval(args: argparse.Namespace) -> CommandResult:
@@ -164,7 +175,7 @@ def cmd_eval(args: argparse.Namespace) -> CommandResult:
     result = dsl.eval_term(term, env, A)
     for lbl, v in zip(A.labels, result.coords):
         if v.denominator >= dsl.DIGITS_BOUND:  # 0 <= v <= 1: the numerator is no longer
-            raise _too_long(f"result at {lbl!r}")
+            raise ValueError(f"result at {lbl!r}: {_TOO_LONG}")
     return CommandResult(
         "ok", {"coords": {lbl: str(v) for lbl, v in zip(A.labels, result.coords)}}
     )
@@ -251,6 +262,110 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+@dataclass(frozen=True)
+class _Option:
+    """A `--flag value` option, in argparse's add_argument terms; its dest is the flag's name."""
+
+    flag: str
+    default: object = None
+    type: Callable[[str], object] | None = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        parser.add_argument(
+            self.flag, dest=self.dest, default=self.default, type=self.type,
+            choices=self.choices, required=self.required, help=self.help,
+        )
+
+    def convert(self, text: str):
+        """What argparse stores for `flag text`, or None where argparse would not take it."""
+        if text.startswith("-"):
+            return None
+        try:
+            value = text if self.type is None else self.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        return value if self.choices is None or value in self.choices else None
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand: what runs it, its help line, its positional arguments and its options."""
+
+    run: Callable[[argparse.Namespace], CommandResult]
+    help: str
+    operands: tuple[str, ...]  # the dests of the positional arguments, in order
+    options: tuple[_Option, ...] = ()
+
+
+FORMAT = _Option("--format", "text", choices=("text", "json"))
+
+COMMANDS = {
+    "classify": _Command(
+        cmd_classify, "structural predicates of an algebra or multiset", ("spec",)
+    ),
+    "dual": _Command(cmd_dual, "dual object under the appropriate functor", ("spec",)),
+    "homs": _Command(cmd_homs, "enumerate or count morphisms", ("src", "dst"), (
+        _Option("--mode", "count", choices=("count", "list")),
+        _Option("--limit", HOMS_LIST_LIMIT, _nonnegative_int,
+                help="list mode fails (exit 1) above this many maps (default: %(default)s)"),
+    )),
+    "eval": _Command(cmd_eval, "evaluate an MV term over a product algebra", ("term",), (
+        _Option("--algebra", required=True),
+        _Option("--env", "", help='bindings like "x=(1/2, 0); y=(1, 1)"'),
+    )),
+    "selftest": _Command(cmd_selftest, "run the verification suites", (), (
+        _Option("--scale", "small", choices=("small", "full")),
+        _Option("--seed", 0, int),
+    )),
+}
+
+
+def _recognize(argv: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) for a command line of the plain shape, else None.
+
+    The plain shape: an optional leading `--format F`, a command name, then the
+    command's operands, exactly as many as it has, and each of its options at
+    most once as the two tokens `--opt value`, in any order, with every
+    required option present.  Only the option names start with '-', and each
+    value passes its option's converter and choices.  Every other command line
+    (help, `--opt=value`, abbreviations, `--`, usage errors) is argparse's.
+    """
+    fmt, start = FORMAT.default, 0
+    if len(argv) > 1 and argv[0] == FORMAT.flag:
+        fmt, start = FORMAT.convert(argv[1]), 2
+    command = COMMANDS.get(argv[start]) if len(argv) > start else None
+    if fmt is None or command is None:
+        return None
+    values = {FORMAT.dest: fmt, "command": argv[start]}
+    operands, unseen = [], {option.flag: option for option in command.options}
+    tokens = iter(argv[start + 1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            operands.append(token)
+            continue
+        option = unseen.pop(token, None)  # None also for an option given twice
+        if option is None:
+            return None
+        value = values[option.dest] = option.convert(next(tokens, "-"))  # "-": no value left
+        if value is None:
+            return None
+    if len(operands) != len(command.operands):
+        return None
+    for option in unseen.values():
+        if option.required:
+            return None
+        values[option.dest] = option.default
+    values.update(zip(command.operands, operands))
+    return argparse.Namespace(**values, run=command.run)
+
+
 class UsageError(ValueError):
     """A command line the parser rejects; the text is the usage line and the message."""
 
@@ -264,44 +379,23 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built on first use, not at import, then shared: parsing never changes it."""
+    """The argparse reading of COMMANDS.
+
+    Built on first use, not at import, then shared: parsing never changes it.
+    """
     parser = _Parser(
         prog="chmv",
         description="Products of Lukasiewicz chains, their multiset duals, and structural checks.",
     )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    FORMAT.add_to(parser)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="structural predicates of an algebra or multiset")
-    p.add_argument("spec")
-    p.set_defaults(run=cmd_classify)
-
-    p = sub.add_parser("dual", help="dual object under the appropriate functor")
-    p.add_argument("spec")
-    p.set_defaults(run=cmd_dual)
-
-    p = sub.add_parser("homs", help="enumerate or count morphisms")
-    p.add_argument("src")
-    p.add_argument("dst")
-    p.add_argument("--mode", choices=("count", "list"), default="count")
-    p.add_argument(
-        "--limit",
-        type=_nonnegative_int,
-        default=HOMS_LIST_LIMIT,
-        help="list mode fails (exit 1) above this many maps (default: %(default)s)",
-    )
-    p.set_defaults(run=cmd_homs)
-
-    p = sub.add_parser("eval", help="evaluate an MV term over a product algebra")
-    p.add_argument("term")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--env", default="", help='bindings like "x=(1/2, 0); y=(1, 1)"')
-    p.set_defaults(run=cmd_eval)
-
-    p = sub.add_parser("selftest", help="run the verification suites")
-    p.add_argument("--scale", choices=("small", "full"), default="small")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=cmd_selftest)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for operand in command.operands:
+            p.add_argument(operand)
+        for option in command.options:
+            option.add_to(p)
+        p.set_defaults(run=command.run)
     return parser
 
 
@@ -309,15 +403,17 @@ _DOMAIN_ERRORS = (ValueError, ZeroDivisionError, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        if [] in vars(args).values():  # argparse reads the operands "--" "--" as []
-            build_parser().error("expected one argument after '--'")
-    except UsageError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_DOMAIN
-    except SystemExit as exc:  # --help printed the help text
-        return exc.code
+    args = _recognize(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+            if [] in vars(args).values():  # argparse reads the operands "--" "--" as []
+                build_parser().error("expected one argument after '--'")
+        except UsageError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_DOMAIN
+        except SystemExit as exc:  # --help printed the help text
+            return exc.code
     try:
         result = args.run(args)
     except _DOMAIN_ERRORS as exc:

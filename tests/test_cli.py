@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chmv import cli, dsl
 from chmv.algebra import make_algebra
@@ -291,6 +292,23 @@ def test_eval_duplicate_or_empty_binding_is_domain_error(capsys, env, message):
     assert err.strip() == message
 
 
+@pytest.mark.parametrize(
+    "algebra, env, message",
+    [
+        ("L3", "x=(1/0)", "binding 'x': Fraction(1, 0)"),
+        ("L3 * Linf", "x=(1/2, 0); y=(a, 1)", "binding 'y': Invalid literal for Fraction: 'a'"),
+        ("L3", "x=(2)", "binding 'x': 2 is outside [0, 1]"),
+        ("L3", "x=(1/3)", "binding 'x': 1/3 is not a multiple of 1/2"),
+        ("L3", "x=(1/2); y=(1, 1)", "binding 'y': expected 1 coordinates, got 2"),
+    ],
+)
+def test_eval_coordinate_errors_name_the_binding(capsys, algebra, env, message):
+    code, out, err = run(capsys, "eval", "x", "--algebra", algebra, "--env", env)
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.strip() == message
+
+
 def test_multiplicities_are_ascii_digits(capsys):
     message = "expected a multiplicity or 'inf', found '\u0663' (at position 3)\n"
     assert run(capsys, "classify", "{a:\u0663}") == (EXIT_DOMAIN, "", message)
@@ -312,7 +330,8 @@ def test_eval_exponent_coordinate_fails_fast_and_names_it(capsys, coord):
     assert code == EXIT_DOMAIN
     assert out == ""
     assert err.strip() == (
-        f"coordinate {coord!r} uses exponent notation; write an integer, p/q or a decimal"
+        f"binding 'x': coordinate {coord!r} uses exponent notation;"
+        " write an integer, p/q or a decimal"
     )
 
 
@@ -511,10 +530,14 @@ def test_parser_is_built_once_per_process(monkeypatch):
         ["bogus"],
     ]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        well_formed_codes = [main(queries[i % 4]) for i in range(40)]
+        built_by_well_formed = list(built)
         codes = [main(queries[i % len(queries)]) for i in range(50)]
     build_parser.cache_clear()
+    assert well_formed_codes == [EXIT_OK] * 40
+    assert built_by_well_formed == []  # the recognizer read them all
     assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_DOMAIN] * 10
-    assert len(built) == 6  # chmv and its five subcommands
+    assert len(built) == 6  # chmv and its five subcommands, for the first "bogus"
     assert built[0] == "chmv"
 
 
@@ -627,6 +650,60 @@ def test_cli_boundary_returns_0_or_1_and_keeps_no_state(argv):
     code, _ = _call(argv)
     assert code in (EXIT_OK, EXIT_DOMAIN)
     assert _call(REFERENCE_QUERY) == (EXIT_OK, REFERENCE_OUTPUT)
+
+
+def _argparse_vars(argv: list[str]) -> dict:
+    return vars(build_parser().parse_args(argv))
+
+
+def _one_token_replaced(argv: list[str], index: int, token: str) -> list[str]:
+    index %= len(argv)
+    return argv[:index] + [token] + argv[index + 1:]
+
+
+_formatted = st.builds(lambda fmt, cmd: fmt + cmd, _formats, _well_formed)
+_near_well_formed = st.builds(_one_token_replaced, _formatted, st.integers(0, 9), _tokens)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=st.one_of(_argv, _formatted, _near_well_formed))
+@example(argv=["--format", "xml", "classify", "L2"])
+@example(argv=["homs", "L2", "L3", "--mode", "json"])
+@example(argv=["homs", "L2", "L3", "--limit", "abc"])
+@example(argv=["homs", "L2", "L3", "--limit", "2", "--limit", "3"])
+@example(argv=["eval", "x", "--env", "x=(1)"])
+@example(argv=["selftest", "--seed", "1.5"])
+def test_recognizer_returns_what_argparse_returns_or_defers(argv):
+    """argparse is the reference: an argv the recognizer takes parses to the same Namespace."""
+    recognized = cli._recognize(argv)
+    if recognized is not None:
+        assert vars(recognized) == _argparse_vars(argv)  # a rejected argv raises UsageError
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+EVERY_OPTION = [
+    ["homs", "{a:2}", "{b:1,c:2}", "--mode", "list", "--limit", "5"],
+    ["homs", "--limit", "5", "L2 * L3", "--mode", "count", "L3"],
+    ["eval", "x (+) y", "--algebra", "L2 * L3", "--env", "x=(1, 0); y=(0, 1/2)"],
+    ["selftest", "--scale", "small", "--seed", "3"],
+]
+
+
+def _readme_examples() -> list[list[str]]:
+    """The argv of each example in the README's CLI table."""
+    rows = [line for line in README.read_text().splitlines() if line.startswith("| `")]
+    cells = [row.split(" | ")[1] for row in rows]
+    return [shlex.split(cell.split("`")[1])[1:] for cell in cells if cell.startswith("`chmv ")]
+
+
+def test_recognizer_takes_the_readme_examples_and_every_option():
+    examples = _readme_examples()
+    assert len(examples) == 7
+    for argv in examples + EVERY_OPTION:
+        for fmt in ([], ["--format", "json"]):
+            recognized = cli._recognize(fmt + argv)
+            assert recognized is not None, fmt + argv
+            assert vars(recognized) == _argparse_vars(fmt + argv)
 
 
 _json_text = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028'), st.characters()))
