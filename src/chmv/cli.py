@@ -140,7 +140,10 @@ def _parse_coordinate(text: str) -> Fraction:
         )
     if any(len(run) > dsl.MAX_DIGITS for run in re.findall(r"\d+", text.replace("_", ""))):
         raise ValueError(_TOO_LONG)
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
     if max(abs(value.numerator), value.denominator) >= dsl.DIGITS_BOUND:
         raise ValueError(_TOO_LONG)
     return value
@@ -154,7 +157,7 @@ def _parse_element(text: str, A: alg.ProductAlgebra, where: str) -> alg.Element:
     parts = [p.strip() for p in body.split(",")] if body else []
     try:
         return alg.make_element(A, [_parse_coordinate(p) for p in parts])
-    except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the latter
+    except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 

@@ -5,19 +5,18 @@ by index maps: a hom A -> B is a map from B's coordinates into A's with a
 chain inclusion at every coordinate, acting by precomposition.  The two
 functors exchange a multiset point of multiplicity s with a chain factor
 of size s + 1; the unit and counit are the identity reindexings, and the
-naturality squares are checked executably.
+naturality squares are checked executably.  ContinuousHom builds on
+multiset.LabelledMap, the map core it shares with EMMorphism.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .algebra import (
     AlgebraMismatchError,
@@ -28,7 +27,7 @@ from .algebra import (
     enumerate_elements,
 )
 from .chain import ChainSize, LINF, chain_subset
-from .multiset import EMMorphism, EMultiset, INF, _trusted_morphism, compose_morphisms
+from .multiset import EMMorphism, EMultiset, INF, LabelledMap, _trusted_morphism, compose_morphisms
 
 SAMPLE_MAX_DENOMINATOR = 6
 # Bound of the F_obj, H_obj, eta and epsilon caches: a full selftest calls
@@ -41,31 +40,31 @@ class HomError(AlgebraError):
 
 
 @dataclass(frozen=True)
-class ContinuousHom:
+class ContinuousHom(LabelledMap):
     """A continuous homomorphism in index-map normal form.
 
     index_map sends each target coordinate y to a source coordinate x with
     the chain at x included in the chain at y; the hom acts on elements by
-    f |-> f o index_map.  The constructor lists the pairs in the order of
-    target.labels, so == and hash are equality of maps.
+    f |-> f o index_map.  Its domain, in LabelledMap's sense, is the target.
     """
 
     source: ProductAlgebra
     target: ProductAlgebra
     index_map: tuple[tuple[str, str], ...]
 
-    def __post_init__(self) -> None:
-        as_dict = dict(self.index_map)
-        if set(as_dict) != set(self.target.labels) or len(as_dict) != len(self.index_map):
-            raise HomError("index map must be total on the target coordinates")
-        for y, x in self.index_map:
-            if x not in self.source.positions:
-                raise HomError(f"index map hits unknown source coordinate {x!r}")
-            if not chain_subset(self.source.chain(x), self.target.chain(y)):
-                raise HomError(
-                    f"{self.source.chain(x)} is not a subchain of {self.target.chain(y)}"
-                )
-        object.__setattr__(self, "index_map", tuple((y, as_dict[y]) for y in self.target.labels))
+    _sides = staticmethod(lambda source, target: (target, source))  # domain, codomain
+    _pairs, _error = "index_map", HomError
+    _total = "index map must be total on the target coordinates"
+    _unknown = "index map hits unknown source coordinate {!r}"
+
+    @staticmethod
+    def _images(B: ProductAlgebra, A: ProductAlgebra, y: str) -> list[str]:
+        cy = B.chain(y)
+        return [x for x, cx in A.factors if chain_subset(cx, cy)]
+
+    @staticmethod
+    def _inadmissible(B: ProductAlgebra, A: ProductAlgebra, y: str, x: str) -> str:
+        return f"{A.chain(x)} is not a subchain of {B.chain(y)}"
 
     @cached_property
     def source_positions(self) -> tuple[int, ...]:
@@ -80,33 +79,17 @@ class ContinuousHom:
         return operator.itemgetter(*pos) if len(pos) > 1 else lambda c: tuple([c[p] for p in pos])
 
 
-def _trusted_hom(
-    source: ProductAlgebra, target: ProductAlgebra, index_map: tuple[tuple[str, str], ...]
-) -> ContinuousHom:
-    """Build a ContinuousHom without re-running the checks of __post_init__.
-
-    Only for index maps that list the target labels in order, as
-    __post_init__ does, and are total and chain-including by construction:
-    identities and the unit/counit reindexings, which pair each coordinate
-    with an equal chain; enumerate_continuous_homs, which keeps only
-    admissible sources; compose_homs, since chain inclusion is transitive;
-    and F_mor, where a morphism's divisibility m_y | m_x is exactly the
-    inclusion L(m_y + 1) <= L(m_x + 1).  Input from outside the package goes
-    through ContinuousHom or make_hom, which validate.
-    """
-    h = object.__new__(ContinuousHom)
-    h.__dict__.update(source=source, target=target, index_map=index_map)
-    return h
+_trusted_hom = ContinuousHom._trusted
+identity_hom = ContinuousHom.identity
+admissible_sources = ContinuousHom.choices
+enumerate_continuous_homs = ContinuousHom.enumerate
+continuous_hom_count = ContinuousHom.count
 
 
 def make_hom(
     source: ProductAlgebra, target: ProductAlgebra, index_map: Mapping[str, str]
 ) -> ContinuousHom:
     return ContinuousHom(source, target, tuple(index_map.items()))
-
-
-def identity_hom(A: ProductAlgebra) -> ContinuousHom:
-    return _trusted_hom(A, A, tuple((x, x) for x in A.labels))
 
 
 def projection(A: ProductAlgebra, label: str) -> ContinuousHom:
@@ -126,31 +109,7 @@ def compose_homs(g: ContinuousHom, h: ContinuousHom) -> ContinuousHom:
     if h.target != g.source:
         raise HomError("target of the first hom differs from source of the second")
     h_map = dict(h.index_map)
-    return _trusted_hom(h.source, g.target, tuple((z, h_map[x]) for z, x in g.index_map))
-
-
-def admissible_sources(A: ProductAlgebra, B: ProductAlgebra) -> list[list[str]]:
-    """For each coordinate of B, in order, the coordinates of A whose chain it includes.
-
-    The homs A -> B are exactly the picks of one entry per list, so the
-    lists have three readers: continuous_hom_count multiplies their lengths,
-    enumerate_continuous_homs builds a hom per pick, and the CLI's homs
-    command counts and lists the picks without building homs.
-    """
-    return [[x for x, cx in A.factors if chain_subset(cx, cy)] for _, cy in B.factors]
-
-
-def enumerate_continuous_homs(
-    A: ProductAlgebra, B: ProductAlgebra
-) -> Iterator[ContinuousHom]:
-    """All continuous homs A -> B: every admissible index map, each once."""
-    for sources in itertools.product(*admissible_sources(A, B)):
-        yield _trusted_hom(A, B, tuple(zip(B.labels, sources)))
-
-
-def continuous_hom_count(A: ProductAlgebra, B: ProductAlgebra) -> int:
-    """Product of per-coordinate admissible-source counts."""
-    return math.prod(map(len, admissible_sources(A, B)))
+    return _trusted_hom(h.source, g.target, tuple([(z, h_map[x]) for z, x in g.index_map]))
 
 
 def element_map(h: ContinuousHom) -> dict[Element, Element]:
@@ -172,7 +131,7 @@ def F_obj(X: EMultiset) -> ProductAlgebra:
 
 def F_mor(phi: EMMorphism) -> ContinuousHom:
     """A multiset map X -> Y induces precomposition F(Y) -> F(X)."""
-    return _trusted_hom(F_obj(phi.target), F_obj(phi.source), tuple(phi.mapping))
+    return _trusted_hom(F_obj(phi.target), F_obj(phi.source), phi.mapping)
 
 
 @lru_cache(maxsize=FUNCTOR_CACHE_SIZE)
@@ -185,7 +144,7 @@ def H_obj(A: ProductAlgebra) -> EMultiset:
 
 def H_mor(psi: ContinuousHom) -> EMMorphism:
     """A hom B -> A induces the point map H(A) -> H(B) carried by its index map."""
-    return _trusted_morphism(H_obj(psi.target), H_obj(psi.source), tuple(psi.index_map))
+    return _trusted_morphism(H_obj(psi.target), H_obj(psi.source), psi.index_map)
 
 
 @lru_cache(maxsize=FUNCTOR_CACHE_SIZE)

@@ -5,7 +5,8 @@ positive integers extended by infinity.  A map of multisets must send a
 point of finite multiplicity s to a point whose multiplicity is a finite
 divisor of s; infinite multiplicities are unconstrained.  Profiles
 summarize a multiset as a multiplicity -> cardinality table, which is the
-invariant classifying product algebras up to isomorphism.
+invariant classifying product algebras up to isomorphism.  LabelledMap is
+the map core that EMMorphism and duality.ContinuousHom share.
 """
 
 from __future__ import annotations
@@ -76,53 +77,113 @@ class EMultiset:
 
 
 @dataclass(frozen=True)
-class EMMorphism:
-    """A point map whose target multiplicities divide the finite source ones.
+class LabelledMap:
+    """The core of EMMorphism and ContinuousHom: a total map between labels.
 
-    The constructor lists the pairs in the order of source.labels, so == and
-    hash are equality of maps.
+    A subclass declares the fields source, target and its pairs, which send
+    each label of the domain (the source of a morphism, the target of a hom)
+    to an admissible label of the codomain.  It names its pairs field, its
+    domain side (_sides), its error class and messages, and _images, the
+    admissible images of one domain label, which both validation and the
+    choice lists read.  The constructor lists the pairs in the order of the
+    domain's labels, so == and hash are equality of maps; copies and pickles
+    rebuild through the constructor.
     """
+
+    def __post_init__(self) -> None:
+        dom, cod = self._sides(self.source, self.target)
+        pairs = getattr(self, self._pairs)
+        as_dict = dict(pairs)
+        if set(as_dict) != set(dom.labels) or len(as_dict) != len(pairs):
+            raise self._error(self._total)
+        for d, c in pairs:
+            if c not in self._images(dom, cod, d):
+                if c not in cod.labels:
+                    raise self._error(self._unknown.format(c))
+                raise self._error(self._inadmissible(dom, cod, d, c))
+        object.__setattr__(self, self._pairs, tuple((d, as_dict[d]) for d in dom.labels))
+
+    def __reduce__(self):
+        # cached properties (a hom's image_getter) stay out of the pickle
+        return type(self), (self.source, self.target, getattr(self, self._pairs))
+
+    @classmethod
+    def _trusted(cls, source, target, pairs: tuple[tuple[str, str], ...]):
+        """Build a map without re-running the checks of __post_init__.
+
+        Only for pairs that list the domain labels in order, as __post_init__
+        does, and are total and admissible by construction:
+        - identity, eta and epsilon pair each label with one of equal
+          multiplicity or chain;
+        - enumerate keeps only admissible images;
+        - compose_morphisms and compose_homs, since divisibility and chain
+          inclusion are transitive;
+        - F_mor and H_mor, where a morphism's divisibility m_y | m_x is
+          exactly the hom's chain inclusion L(m_y + 1) <= L(m_x + 1).
+        Input from outside the package goes through the class or make_hom,
+        which validate.
+        """
+        m = object.__new__(cls)  # filled by one update: item stores leave a split, slower dict
+        m.__dict__.update({"source": source, "target": target, cls._pairs: pairs})
+        return m
+
+    @classmethod
+    def identity(cls, obj):
+        return cls._trusted(obj, obj, tuple((x, x) for x in obj.labels))
+
+    @classmethod
+    def choices(cls, source, target) -> list[list[str]]:
+        """For each domain label, in order, the codomain labels it may map to.
+
+        The maps source -> target are exactly the picks of one entry per
+        list, so the lists have three readers: count multiplies their
+        lengths, enumerate builds a map per pick, and the CLI's homs command
+        counts and lists the picks without building maps.
+        """
+        (dom, cod), images = cls._sides(source, target), cls._images
+        return [images(dom, cod, d) for d in dom.labels]
+
+    @classmethod
+    def enumerate(cls, source, target) -> Iterator:
+        """All maps source -> target: a map per pick from the lists of choices."""
+        (dom, cod), images, build = cls._sides(source, target), cls._images, cls._trusted
+        # the lists of choices(), built inline: a selftest enumerates tens of thousands of sets
+        for picks in itertools.product(*[images(dom, cod, d) for d in dom.labels]):
+            yield build(source, target, tuple(zip(dom.labels, picks)))
+
+    @classmethod
+    def count(cls, source, target) -> int:
+        """Product of the per-label choice counts."""
+        return math.prod(map(len, cls.choices(source, target)))
+
+
+@dataclass(frozen=True)
+class EMMorphism(LabelledMap):
+    """A point map whose target multiplicities divide the finite source ones."""
 
     source: EMultiset
     target: EMultiset
     mapping: tuple[tuple[str, str], ...]
 
-    def __post_init__(self) -> None:
-        as_dict = dict(self.mapping)
-        if set(as_dict) != set(self.source.labels) or len(as_dict) != len(self.mapping):
-            raise MorphismError("map must be total on the source points")
-        for x, y in self.mapping:
-            if y not in self.target.mults:
-                raise MorphismError(f"image point {y!r} not in the target")
-            if not mult_divides(self.target.mults[y], self.source.mults[x]):
-                raise MorphismError(
-                    f"multiplicity {self.target.mults[y]} of {y!r} does not divide "
-                    f"{self.source.mults[x]} of {x!r}"
-                )
-        object.__setattr__(self, "mapping", tuple((x, as_dict[x]) for x in self.source.labels))
+    _sides = staticmethod(lambda source, target: (source, target))  # domain, codomain
+    _pairs, _error = "mapping", MorphismError
+    _total = "map must be total on the source points"
+    _unknown = "image point {!r} not in the target"
+
+    @staticmethod
+    def _images(X: EMultiset, Y: EMultiset, x: str) -> list[str]:
+        return [y for y, m in Y.points if mult_divides(m, X.mults[x])]
+
+    @staticmethod
+    def _inadmissible(X: EMultiset, Y: EMultiset, x: str, y: str) -> str:
+        return f"multiplicity {Y.mults[y]} of {y!r} does not divide {X.mults[x]} of {x!r}"
 
 
-def _trusted_morphism(
-    source: EMultiset, target: EMultiset, mapping: tuple[tuple[str, str], ...]
-) -> EMMorphism:
-    """Build an EMMorphism without re-running the checks of __post_init__.
-
-    Only for maps that list the source labels in order, as __post_init__
-    does, and are total and divisibility-respecting by construction:
-    identities and the unit reindexing, which pair each point with one of
-    equal multiplicity; enumerate_morphisms, which keeps only admissible
-    images; compose_morphisms, since divisibility is transitive; and H_mor,
-    where a hom's chain inclusion L(n) <= L(m) is exactly the divisibility
-    (n - 1) | (m - 1).  Input from outside the package goes through
-    EMMorphism, which validates.
-    """
-    phi = object.__new__(EMMorphism)
-    phi.__dict__.update(source=source, target=target, mapping=mapping)
-    return phi
-
-
-def identity_morphism(X: EMultiset) -> EMMorphism:
-    return _trusted_morphism(X, X, tuple((x, x) for x in X.labels))
+_trusted_morphism = EMMorphism._trusted
+identity_morphism = EMMorphism.identity
+admissible_images = EMMorphism.choices
+enumerate_morphisms = EMMorphism.enumerate
+morphism_count = EMMorphism.count
 
 
 def compose_morphisms(psi: EMMorphism, phi: EMMorphism) -> EMMorphism:
@@ -130,29 +191,8 @@ def compose_morphisms(psi: EMMorphism, phi: EMMorphism) -> EMMorphism:
     if phi.target != psi.source:
         raise MorphismError("target of the first map differs from source of the second")
     psi_map = dict(psi.mapping)
-    return _trusted_morphism(phi.source, psi.target, tuple((x, psi_map[y]) for x, y in phi.mapping))
-
-
-def admissible_images(X: EMultiset, Y: EMultiset) -> list[list[str]]:
-    """For each point of X, in order, the points of Y it may map to.
-
-    The maps X -> Y are exactly the picks of one entry per list, so the
-    lists have three readers: morphism_count multiplies their lengths,
-    enumerate_morphisms builds a morphism per pick, and the CLI's homs
-    command counts and lists the picks without building morphisms.
-    """
-    return [[y for y in Y.labels if mult_divides(Y.mults[y], X.mults[x])] for x in X.labels]
-
-
-def enumerate_morphisms(X: EMultiset, Y: EMultiset) -> Iterator[EMMorphism]:
-    """All morphisms X -> Y, one choice of admissible image per point."""
-    for images in itertools.product(*admissible_images(X, Y)):
-        yield _trusted_morphism(X, Y, tuple(zip(X.labels, images)))
-
-
-def morphism_count(X: EMultiset, Y: EMultiset) -> int:
-    """Product of per-point admissible-image counts."""
-    return math.prod(map(len, admissible_images(X, Y)))
+    pairs = tuple([(x, psi_map[y]) for x, y in phi.mapping])  # a list: faster than a generator
+    return _trusted_morphism(phi.source, psi.target, pairs)
 
 
 @dataclass(frozen=True)

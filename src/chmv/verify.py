@@ -331,10 +331,7 @@ def suite_lifting(instances=100, seed=0) -> SuiteResult:
 
         a_chains = [ChainSize(2)] + [rng.choice(pool) for _ in range(rng.randint(0, 2))]
         A = alg.make_algebra((f"a{j + 1}", c) for j, c in enumerate(a_chains))
-        phi_map = {}
-        for y in B.labels:
-            options = [x for x in A.labels if chain_subset(A.chain(x), B.chain(y))]
-            phi_map[y] = rng.choice(options)
+        phi_map = {y: rng.choice(xs) for y, xs in zip(B.labels, dual.admissible_sources(A, B))}
         phi = dual.make_hom(A, B, phi_map)
 
         lifted = st.lift(phi, psi, "a1")

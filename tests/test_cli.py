@@ -295,7 +295,8 @@ def test_eval_duplicate_or_empty_binding_is_domain_error(capsys, env, message):
 @pytest.mark.parametrize(
     "algebra, env, message",
     [
-        ("L3", "x=(1/0)", "binding 'x': Fraction(1, 0)"),
+        ("L3", "x=(1/0)", "binding 'x': zero denominator in '1/0'"),
+        ("L3 * Linf", "x=(1, 0/0)", "binding 'x': zero denominator in '0/0'"),
         ("L3 * Linf", "x=(1/2, 0); y=(a, 1)", "binding 'y': Invalid literal for Fraction: 'a'"),
         ("L3", "x=(2)", "binding 'x': 2 is outside [0, 1]"),
         ("L3", "x=(1/3)", "binding 'x': 1/3 is not a multiple of 1/2"),

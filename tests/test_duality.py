@@ -116,7 +116,9 @@ def test_compose_homs_agrees_on_elements():
 def test_compose_boundary_mismatch():
     L3 = make_algebra([("x", ChainSize(3))])
     g = make_hom(L3xL2, L3, {"x": "a"})
-    with pytest.raises(HomError):
+    with pytest.raises(
+        HomError, match="^target of the first hom differs from source of the second$"
+    ):
         compose_homs(g, g)
 
 

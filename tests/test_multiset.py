@@ -89,7 +89,9 @@ def test_compose_boundary_mismatch():
     W = EMultiset((("b", 4),))
     phi = EMMorphism(X, Y, (("a", "b"),))
     other = EMMorphism(W, Y, (("b", "b"),))
-    with pytest.raises(MorphismError):
+    with pytest.raises(
+        MorphismError, match="^target of the first map differs from source of the second$"
+    ):
         compose_morphisms(phi, other)
 
 

@@ -4,14 +4,15 @@ Public constructors and parsers still reject invalid input; every element,
 hom and morphism the library derives from valid ones passes full validation
 when rebuilt through the public class, and equals and hashes like its rebuild,
 so it lists its pairs in the canonical order the public class gives them.
-Algebras and multisets store their hash, so copies and pickles rebuild them
-through the constructor.
+Algebras and multisets store their hash, and a used hom caches a local
+function, so copies and pickles rebuild them through the constructor.
 """
 
 import copy
 import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -80,13 +81,17 @@ def test_element_and_make_element_reject(coords, error):
 def test_continuous_hom_and_make_hom_reject():
     L2 = make_algebra([("x", ChainSize(2))])
     L3 = make_algebra([("y", ChainSize(3))])
-    for index_map in ((("x", "y"),), (("x", "nowhere"),), ()):
-        with pytest.raises(HomError):
+    total = "index map must be total on the target coordinates"
+    for index_map, message in [
+        ((("x", "y"),), "L3 is not a subchain of L2"),
+        ((("x", "nowhere"),), "index map hits unknown source coordinate 'nowhere'"),
+        ((), total),
+        ((("x", "y"), ("z", "y")), total),
+    ]:
+        with pytest.raises(HomError, match=f"^{re.escape(message)}$"):
             ContinuousHom(L3, L2, index_map)
-    with pytest.raises(HomError):
-        make_hom(L3, L2, {"x": "y"})
-    with pytest.raises(HomError):
-        make_hom(L3, L2, {})
+        with pytest.raises(HomError, match=f"^{re.escape(message)}$"):
+            make_hom(L3, L2, dict(index_map))
 
 
 def test_make_hom_rejects_a_label_outside_the_target():
@@ -96,11 +101,29 @@ def test_make_hom_rejects_a_label_outside_the_target():
         make_hom(L2, L3, {"y": "x", "z": "x"})
 
 
+def test_constructors_list_pairs_in_domain_order():
+    """Pairs given in any order equal, and hash like, the map the library derives."""
+    A = make_algebra([("x1", ChainSize(3)), ("x2", LINF)])
+    h = ContinuousHom(A, A, (("x2", "x2"), ("x1", "x1")))
+    assert h.index_map == (("x1", "x1"), ("x2", "x2"))
+    assert h == identity_hom(A) and hash(h) == hash(identity_hom(A))
+    X = EMultiset((("a", 2), ("b", INF)))
+    phi = EMMorphism(X, X, (("b", "b"), ("a", "a")))
+    assert phi.mapping == (("a", "a"), ("b", "b"))
+    assert phi == identity_morphism(X) and hash(phi) == hash(identity_morphism(X))
+
+
 def test_em_morphism_and_validate_morphism_reject():
     X = EMultiset((("a", 3),))
     Y = EMultiset((("b", 2),))
-    for mapping in ((("a", "b"),), (("a", "nowhere"),), (), (("a", "b"), ("z", "b"))):
-        with pytest.raises(MorphismError):
+    total = "map must be total on the source points"
+    for mapping, message in [
+        ((("a", "b"),), "multiplicity 2 of 'b' does not divide 3 of 'a'"),
+        ((("a", "nowhere"),), "image point 'nowhere' not in the target"),
+        ((), total),
+        ((("a", "b"), ("z", "b")), total),
+    ]:
+        with pytest.raises(MorphismError, match=f"^{re.escape(message)}$"):
             EMMorphism(X, Y, mapping)
 
 
@@ -199,7 +222,19 @@ HASHED = [
 ]
 
 
-@pytest.mark.parametrize("obj", HASHED, ids=repr)
+def used_hom():
+    """A hom that apply_hom has used: its one-coordinate image getter is a local lambda."""
+    h = next(enumerate_continuous_homs(make_algebra([("a", ChainSize(2)), ("b", ChainSize(3))]),
+                                       make_algebra([("c", ChainSize(3))])))
+    apply_hom(h, unit(h.source))
+    assert "image_getter" in vars(h)
+    return h
+
+
+MAPS = [used_hom(), next(enumerate_morphisms(EMultiset((("a", 2),)), EMultiset((("b", 1),))))]
+
+
+@pytest.mark.parametrize("obj", HASHED + MAPS, ids=repr)
 def test_copies_keep_equality_and_hash(obj):
     for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert clone == obj and hash(clone) == hash(obj)
