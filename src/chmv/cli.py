@@ -103,7 +103,7 @@ def cmd_homs(args: argparse.Namespace) -> CommandResult:
     Both modes read one list of admissible choices per coordinate: the count
     is the product of their lengths, and list mode writes each pick as a
     dict in product order (first coordinate slowest), the order of
-    enumerate_morphisms and enumerate_continuous_homs.
+    enumerate_morphisms and enumerate_continuous_homs, through a _Listing.
     """
     a, b = _parse_object(_read_arg(args.src)), _parse_object(_read_arg(args.dst))
     if isinstance(a, ms.EMultiset) != isinstance(b, ms.EMultiset):
@@ -119,8 +119,7 @@ def cmd_homs(args: argparse.Namespace) -> CommandResult:
         return CommandResult("ok", {"count": total})
     if total > args.limit:
         raise ValueError(f"{total} maps exceed --limit {args.limit}; count them with --mode count")
-    listing = [{key: dict(zip(labels, pick))} for pick in itertools.product(*choices)]
-    return CommandResult("ok", {"count": total, "homs": listing})
+    return CommandResult("ok", {"count": total, "homs": _Listing(key, labels, choices)})
 
 
 # Fraction() also reads exponent notation and builds the power of ten in full,
@@ -134,6 +133,8 @@ _TOO_LONG = f"numerator or denominator longer than {dsl.MAX_DIGITS} digits"
 
 
 def _parse_coordinate(text: str) -> Fraction:
+    if not text.isascii() and any(ch.isdecimal() for ch in text):  # Fraction reads them too
+        raise ValueError(f"coordinate {text!r} has a non-ASCII digit")
     if _EXPONENT_RE.fullmatch(text):
         raise ValueError(
             f"coordinate {text!r} uses exponent notation; write an integer, p/q or a decimal"
@@ -202,12 +203,45 @@ def cmd_selftest(args: argparse.Namespace) -> CommandResult:
 _quote = json.encoder.encode_basestring_ascii
 
 
+class _Listing:
+    """The maps of list mode, `[{key: dict(zip(labels, pick))} for pick in product(*choices)]`.
+
+    _dumps writes it without building those dicts: every entry has the same
+    labels in the same order, so each `"label": "choice"` piece is quoted once
+    and each map is one join of its picked pieces.
+    """
+
+    __slots__ = ("key", "labels", "choices")
+
+    def __init__(self, key: str, labels: tuple[str, ...], choices: list[list[str]]) -> None:
+        self.key, self.labels, self.choices = key, labels, choices
+
+    def dumps(self, pad: str) -> str:
+        """What _dumps writes for the materialised list at `pad`."""
+        entry, inner, innermost = pad + "  ", pad + "    ", pad + "      "
+        head = "{" + inner + _quote(self.key) + ": "
+        if not self.labels:  # one map, the empty one
+            return "[" + entry + head + "{}" + entry + "}" + pad + "]"
+        pieces = [
+            [f"{_quote(label)}: {_quote(c)}" for c in cs]
+            for label, cs in zip(self.labels, self.choices)
+        ]
+        maps = [("," + innermost).join(pick) for pick in itertools.product(*pieces)]
+        if not maps:
+            return "[]"
+        start, end = head + "{" + innermost, inner + "}" + entry + "}"  # around each map's pieces
+        return "[" + entry + start + (end + "," + entry + start).join(maps) + end + pad + "]"
+
+
 def _dumps(obj, pad: str = "\n") -> str:
     """`json.dumps(obj, indent=2, default=str)`, byte for byte, each newline replaced by `pad`.
 
     Written out for the shapes the commands return (dicts with str keys,
-    lists, str, int, bool, None), because before Python 3.13 `indent` sends
-    json.dumps to its pure-Python encoder.  Anything else goes to json.dumps.
+    lists, str, int, bool, None, and list mode's _Listing, written as its
+    list of dicts), because `indent` sends json.dumps to its pure-Python
+    encoder before Python 3.13.  The one emitter for every version: the C
+    encoder would need a `default` hook to expand a _Listing.  Anything else
+    goes to json.dumps.
     """
     kind = type(obj)
     if kind is str:
@@ -231,25 +265,21 @@ def _dumps(obj, pad: str = "\n") -> str:
             items.append(f"{_quote(k)}: {_quote(v) if type(v) is str else _dumps(v, inner)}")
         else:
             return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is _Listing:
+        return obj.dumps(pad)
     return json.dumps(obj, indent=2, default=str).replace("\n", pad)
-
-
-# From 3.13 the C encoder handles indent and beats _dumps.
-_encode = _dumps if sys.version_info < (3, 13) else functools.partial(
-    json.dumps, indent=2, default=str
-)
 
 
 def _emit(result: CommandResult, fmt: str) -> None:
     if fmt == "json":
-        print(_encode(
+        print(_dumps(
             {"status": result.status, "payload": result.payload, "diagnostics": result.diagnostics}
         ))
         return
     if result.text is not None:
         print(result.text)
     elif result.payload is not None:
-        print(_encode(result.payload))
+        print(_dumps(result.payload))
     for message in result.diagnostics:
         print(message, file=sys.stderr)
 

@@ -1,5 +1,6 @@
 import argparse
 import io
+import itertools
 import json
 import os
 import shlex
@@ -244,6 +245,27 @@ def test_homs_lists_what_the_library_enumerates_in_its_order(pair):
     assert json.loads(_call(argv)[1])["payload"] == {"count": count}
 
 
+@settings(max_examples=200, deadline=None)
+@given(pair=_hom_pairs)
+def test_listing_writes_the_bytes_of_json_dumps_of_its_maps(pair):
+    """List mode writes its maps from the choice lists; the bytes are those of the dicts."""
+    src, dst = pair
+    args = argparse.Namespace(
+        src=dsl.render(src), dst=dsl.render(dst), mode="list", limit=cli.HOMS_LIST_LIMIT
+    )
+    payload = cli.cmd_homs(args).payload
+    listing = payload["homs"]
+    maps = [
+        {listing.key: dict(zip(listing.labels, pick))}
+        for pick in itertools.product(*listing.choices)
+    ]
+    materialised = {"count": payload["count"], "homs": maps}
+    assert cli._dumps(payload) == json.dumps(materialised, indent=2)  # the text format
+    document = {"status": "ok", "payload": payload, "diagnostics": []}
+    document_of_maps = {"status": "ok", "payload": materialised, "diagnostics": []}
+    assert cli._dumps(document) == json.dumps(document_of_maps, indent=2)  # the json format
+
+
 def test_homs_mixed_kinds_rejected(capsys):
     code, out, err = run(capsys, "homs", "{a:1}", "L2")
     assert code == EXIT_DOMAIN
@@ -301,6 +323,9 @@ def test_eval_duplicate_or_empty_binding_is_domain_error(capsys, env, message):
         ("L3", "x=(2)", "binding 'x': 2 is outside [0, 1]"),
         ("L3", "x=(1/3)", "binding 'x': 1/3 is not a multiple of 1/2"),
         ("L3", "x=(1/2); y=(1, 1)", "binding 'y': expected 1 coordinates, got 2"),
+        ("L3", "x=(\u0661/2)", "binding 'x': coordinate '\u0661/2' has a non-ASCII digit"),
+        ("L3", "x=(\u0660.\u0665)",
+         "binding 'x': coordinate '\u0660.\u0665' has a non-ASCII digit"),
     ],
 )
 def test_eval_coordinate_errors_name_the_binding(capsys, algebra, env, message):
@@ -593,9 +618,60 @@ CLASSIFY_L2_TEXT = """\
 """
 
 
+HOMS_LIST_TEXT = """\
+{
+  "count": 2,
+  "homs": [
+    {
+      "map": {
+        "a": "b"
+      }
+    },
+    {
+      "map": {
+        "a": "c"
+      }
+    }
+  ]
+}
+"""
+
+HOMS_LIST_FROM_EMPTY = """\
+{
+  "status": "ok",
+  "payload": {
+    "count": 1,
+    "homs": [
+      {
+        "map": {}
+      }
+    ]
+  },
+  "diagnostics": []
+}
+"""
+
+HOMS_LIST_NONE = """\
+{
+  "status": "ok",
+  "payload": {
+    "count": 0,
+    "homs": []
+  },
+  "diagnostics": []
+}
+"""
+
+
 @pytest.mark.parametrize(
     "argv, stdout",
-    [(REFERENCE_QUERY, REFERENCE_OUTPUT), (["classify", "L2"], CLASSIFY_L2_TEXT)],
+    [
+        (REFERENCE_QUERY, REFERENCE_OUTPUT),
+        (["classify", "L2"], CLASSIFY_L2_TEXT),
+        (["homs", "{a:2}", "{b:1,c:2}", "--mode", "list"], HOMS_LIST_TEXT),
+        (["--format", "json", "homs", "{}", "{a:1}", "--mode", "list"], HOMS_LIST_FROM_EMPTY),
+        (["--format", "json", "homs", "Linf", "L2", "--mode", "list"], HOMS_LIST_NONE),
+    ],
 )
 def test_stdout_bytes_are_pinned(capsys, argv, stdout):
     """Indentation and key order included, which parsing the JSON would not see."""
@@ -733,5 +809,5 @@ _json_payloads = st.recursive(
 @settings(max_examples=500, deadline=None)
 @given(obj=_json_payloads)
 def test_emitter_writes_the_bytes_of_json_dumps(obj):
-    # _dumps itself, not the version-selected cli._encode, so that 3.13+ tests it too
+    # arbitrary payloads: _dumps writes the command shapes itself and hands the rest to json.dumps
     assert cli._dumps(obj) == json.dumps(obj, indent=2, default=str)
