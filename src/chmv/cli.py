@@ -122,8 +122,12 @@ def cmd_homs(args: argparse.Namespace) -> CommandResult:
     return CommandResult("ok", {"count": total, "homs": _Listing(key, labels, choices)})
 
 
-# Fraction() also reads exponent notation and builds the power of ten in full,
-# so a coordinate such as 1e-999999999 would never return; it is refused first.
+# A coordinate is an optional sign, then an integer, p/q or a decimal, in ASCII
+# digits: the same on every Python version, whose Fraction() grammars differ
+# (underscores from 3.11, blanks around '/' from 3.12).
+_COORDINATE_RE = re.compile(r"([-+]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?")
+
+# Exponent notation, which Fraction() reads, gets its own message.
 _EXPONENT_RE = re.compile(
     r"[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?[eE][-+]?\d+(?:_\d+)*"
 )
@@ -133,19 +137,30 @@ _TOO_LONG = f"numerator or denominator longer than {dsl.MAX_DIGITS} digits"
 
 
 def _parse_coordinate(text: str) -> Fraction:
-    if not text.isascii() and any(ch.isdecimal() for ch in text):  # Fraction reads them too
-        raise ValueError(f"coordinate {text!r} has a non-ASCII digit")
-    if _EXPONENT_RE.fullmatch(text):
-        raise ValueError(
-            f"coordinate {text!r} uses exponent notation; write an integer, p/q or a decimal"
-        )
-    if any(len(run) > dsl.MAX_DIGITS for run in re.findall(r"\d+", text.replace("_", ""))):
+    m = _COORDINATE_RE.fullmatch(text)
+    if m is None:
+        if not text.isascii() and any(ch.isdecimal() for ch in text):
+            raise ValueError(f"coordinate {text!r} has a non-ASCII digit")
+        if _EXPONENT_RE.fullmatch(text):
+            raise ValueError(
+                f"coordinate {text!r} uses exponent notation; write an integer, p/q or a decimal"
+            )
+        if any(len(run) > dsl.MAX_DIGITS for run in re.findall(r"\d+", text.replace("_", ""))):
+            raise ValueError(_TOO_LONG)
+        raise ValueError(f"coordinate {text!r} is not an integer, p/q or a decimal")
+    long = len(text) > dsl.MAX_DIGITS  # else no number in it, nor its value, reaches DIGITS_BOUND
+    if long and any(len(run) > dsl.MAX_DIGITS for run in m.groups("")):
         raise ValueError(_TOO_LONG)
-    try:
-        value = Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-    if max(abs(value.numerator), value.denominator) >= dsl.DIGITS_BOUND:
+    sign, whole, den, decimals = m.groups()
+    if decimals is not None:
+        q = 10 ** len(decimals)
+        num = int(whole or "0") * q + int(decimals or "0")
+    else:
+        num, q = int(whole), int(den or "1")
+        if not q:
+            raise ValueError(f"zero denominator in {text!r}")
+    value = Fraction(-num if sign == "-" else num, q)
+    if long and max(abs(value.numerator), value.denominator) >= dsl.DIGITS_BOUND:
         raise ValueError(_TOO_LONG)
     return value
 

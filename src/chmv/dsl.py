@@ -8,8 +8,14 @@ sum, "(.)" the dual product, "/\\" meet, "\\/" join, "->" implication;
 precedence from tightest to loosest is ~, (.), (+), /\\, \\/, ->, all
 binaries left-associative.
 
+Two readers share the object grammars.  A well-formed algebra or multiset
+whose numbers are ASCII, without a leading zero and at most _FAST_DIGITS
+digits long, is read by one fullmatch and one findall of a compiled pattern.
+Every other text, and every term, goes to the token walk (_Cursor): it is the
+only code that raises ParseError, so every error message and position is its.
+
 A ParseError carries the character offset of the offending token in the
-input text.  The parser reads the tokens as plain strings, so the offset is
+input text.  The walk reads the tokens as plain strings, so the offset is
 found only when an error is raised, by scanning the text again.
 """
 
@@ -41,9 +47,12 @@ class UnboundVariableError(ValueError):
     pass
 
 
-_TOKEN_RE = re.compile(
-    r"""\(\+\)|\(\.\)|/\\|\\/|->|[~()\[\]{}:,*]|[A-Za-z_][A-Za-z_0-9]*|\d+|\S"""
-)
+# The lexical fragments, each written once: the token walk, the label and chain
+# checks and the fast patterns below are all compiled from them.
+_LABEL = r"[A-Za-z_][A-Za-z_0-9]*"
+_DIGIT = "[0-9]"  # ASCII only: \d also reads other scripts' digits
+
+_TOKEN_RE = re.compile(r"\(\+\)|\(\.\)|/\\|\\/|->|[~()\[\]{}:,*]|" + _LABEL + r"|\d+|\S")
 
 
 def _token_start(text: str, index: int) -> int:
@@ -93,8 +102,8 @@ class _Cursor:
             raise ParseError(f"trailing input {self.tokens[self.pos]!r}", self.here())
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
-_CHAIN_RE = re.compile(r"L(\d+)\Z")
+_IDENT_RE = re.compile(_LABEL + r"\Z")
+_CHAIN_RE = re.compile(rf"L({_DIGIT}+)\Z")
 
 # Python reads and prints integers below 10^4300 (the default of
 # sys.set_int_max_str_digits); cli's eval and homs refuse larger numbers too.
@@ -175,7 +184,61 @@ def _repeated_label(text: str, entries) -> int:
     return 0
 
 
+# The fast patterns take the well-formed texts whose numbers have no leading
+# zero and at most _FAST_DIGITS digits, far below MAX_DIGITS; a chain is
+# never L0 or L1 and a multiplicity never 0.  \s is what _TOKEN_RE skips.
+# Each object's fullmatch checks its whole text; the findall of its entry
+# pattern then reads the entries, with one group per label and per number.
+_FAST_DIGITS = 100
+_FAST_NUMBER = rf"[1-9]{_DIGIT}{{0,{_FAST_DIGITS - 1}}}"
+_FAST_CHAIN = rf"L(inf|[1-9]{_DIGIT}{{1,{_FAST_DIGITS - 1}}}|[2-9])"
+_FAST_FACTOR = rf"({_LABEL})\s*:\s*{_FAST_CHAIN}"
+_FAST_POINT = rf"({_LABEL})\s*:\s*(inf|{_FAST_NUMBER})"
+
+
+def _items(entry: str, sep: str) -> str:
+    return rf"{entry}(?:\s*{sep}\s*{entry})*"
+
+
+_fast_product = re.compile(rf"\s*{_items(_FAST_CHAIN, '[*]')}\s*").fullmatch
+_fast_factors = re.compile(rf"\s*\[\s*(?:{_items(_FAST_FACTOR, ',')})?\s*\]\s*").fullmatch
+_fast_points = re.compile(rf"\s*\{{\s*(?:{_items(_FAST_POINT, ',')})?\s*\}}\s*").fullmatch
+_chain_entries = re.compile(_FAST_CHAIN).findall
+_factor_entries = re.compile(_FAST_FACTOR).findall
+_point_entries = re.compile(_FAST_POINT).findall
+
+
+@lru_cache(maxsize=1024)  # chain sizes recur, and a ChainSize is immutable
+def _fast_chain(size: str) -> ChainSize:
+    return LINF if size == "inf" else ChainSize(int(size))
+
+
 def parse_algebra(text: str) -> ProductAlgebra:
+    """The algebra `L2 * L3` or `[a: L2, b: Linf]`; ParseError if text is neither."""
+    if _fast_product(text):
+        chains = _chain_entries(text)
+        return make_algebra([(f"x{i}", _fast_chain(n)) for i, n in enumerate(chains, 1)])
+    if _fast_factors(text):
+        try:
+            return make_algebra([(label, _fast_chain(n)) for label, n in _factor_entries(text)])
+        except AlgebraError:
+            pass  # a repeated label: the walk reports it at its position
+    return _walk_algebra(text)
+
+
+def parse_multiset(text: str) -> EMultiset:
+    """The multiset `{a:2, b:inf}`; ParseError if text is not one."""
+    if _fast_points(text):
+        try:
+            return EMultiset(tuple([(label, INF if m == "inf" else int(m))
+                                    for label, m in _point_entries(text)]))
+        except MultisetError:
+            pass  # a repeated label: the walk reports it at its position
+    return _walk_multiset(text)
+
+
+def _walk_algebra(text: str) -> ProductAlgebra:
+    """parse_algebra by the token walk, which reads every text and places every error."""
     cur = _Cursor(text)
     if cur.peek() == "[":
         factors = _labelled(cur, "[", "]", _parse_chain_size)
@@ -191,7 +254,8 @@ def parse_algebra(text: str) -> ProductAlgebra:
     return make_algebra((f"x{i + 1}", c) for i, c in enumerate(chains))
 
 
-def parse_multiset(text: str) -> EMultiset:
+def _walk_multiset(text: str) -> EMultiset:
+    """parse_multiset by the token walk, which reads every text and places every error."""
     points = _labelled(_Cursor(text), "{", "}", _parse_mult)
     try:
         return EMultiset(points)

@@ -319,13 +319,24 @@ def test_eval_duplicate_or_empty_binding_is_domain_error(capsys, env, message):
     [
         ("L3", "x=(1/0)", "binding 'x': zero denominator in '1/0'"),
         ("L3 * Linf", "x=(1, 0/0)", "binding 'x': zero denominator in '0/0'"),
-        ("L3 * Linf", "x=(1/2, 0); y=(a, 1)", "binding 'y': Invalid literal for Fraction: 'a'"),
+        ("L3 * Linf", "x=(1/2, 0); y=(a, 1)",
+         "binding 'y': coordinate 'a' is not an integer, p/q or a decimal"),
         ("L3", "x=(2)", "binding 'x': 2 is outside [0, 1]"),
         ("L3", "x=(1/3)", "binding 'x': 1/3 is not a multiple of 1/2"),
         ("L3", "x=(1/2); y=(1, 1)", "binding 'y': expected 1 coordinates, got 2"),
         ("L3", "x=(\u0661/2)", "binding 'x': coordinate '\u0661/2' has a non-ASCII digit"),
         ("L3", "x=(\u0660.\u0665)",
          "binding 'x': coordinate '\u0660.\u0665' has a non-ASCII digit"),
+        ("L3", "x=(1/-2)", "binding 'x': coordinate '1/-2' is not an integer, p/q or a decimal"),
+        ("L3", "x=(nan)", "binding 'x': coordinate 'nan' is not an integer, p/q or a decimal"),
+        ("L3", "x=(inf)", "binding 'x': coordinate 'inf' is not an integer, p/q or a decimal"),
+        ("L3", "x=(1/2/3)", "binding 'x': coordinate '1/2/3' is not an integer, p/q or a decimal"),
+        ("L3", "x=(1e1/2)", "binding 'x': coordinate '1e1/2' is not an integer, p/q or a decimal"),
+        # Fraction() reads these from Python 3.11 and 3.12 on; a coordinate does not
+        ("L3", "x=(1_0/20)",
+         "binding 'x': coordinate '1_0/20' is not an integer, p/q or a decimal"),
+        ("L3", "x=(1 / 2)", "binding 'x': coordinate '1 / 2' is not an integer, p/q or a decimal"),
+        ("L3", "x=(-1/2)", "binding 'x': -1/2 is outside [0, 1]"),
     ],
 )
 def test_eval_coordinate_errors_name_the_binding(capsys, algebra, env, message):
@@ -397,6 +408,7 @@ def test_eval_accepts_coordinates_at_the_digit_limit(capsys):
         ("x=(0, 1/3)", {"x1": "0", "x2": "1/3"}),
         ("x=(1, 0.25)", {"x1": "1", "x2": "1/4"}),
         ("x=(0, .5)", {"x1": "0", "x2": "1/2"}),
+        ("x=(+1., -0/3)", {"x1": "1", "x2": "0"}),
     ],
 )
 def test_eval_reads_integer_fraction_and_decimal_coordinates(capsys, env, coords):

@@ -17,6 +17,8 @@ from chmv.dsl import (
     ParseError,
     UnboundVariableError,
     Var,
+    _walk_algebra,
+    _walk_multiset,
     eval_term,
     parse_algebra,
     parse_multiset,
@@ -161,6 +163,69 @@ def test_parse_error_positions_point_into_the_text(text):
                 assert text.startswith(ast.literal_eval(quoted.group(1)), err.position)
             if message == "unexpected end of input":
                 assert err.position == len(text)
+
+
+# Pieces of well-formed objects: numbers up to the fast pattern's 100 digits and
+# one past it, labels that repeat, and every blank the tokenizer skips
+BLANKS = ["", " ", "\t", "\u00a0"]
+LABELS = ["a", "b", "x1", "_c", "inf", "Linf"]
+CHAINS = ["L2", "L3", "L10", "Linf", "L" + "9" * 100, "L1" + "0" * 100]
+MULTS = ["1", "2", "12", "inf", "9" * 100, "1" + "0" * 100]
+# Pieces the fast pattern must leave to the walk: L0, L1 and multiplicity 0,
+# leading zeros, non-ASCII digits, a non-breaking space (which both readers skip),
+# 4,301 digits and trailing input
+ODD_PIECES = ["L0", "L1", "0", "L07", "007", "L1\u0663", "1\u0663", "\u0663", "\u00a0",
+              "1" + "0" * 4300, "L1" + "0" * 4300, "] x", "} }"]
+REPLACEMENTS = DSL_PIECES + ODD_PIECES + LABELS
+
+
+@st.composite
+def object_pieces(draw):
+    """The pieces of a well-formed algebra or multiset, and the index of one piece.
+
+    Half of the time that piece is a label or a value.
+    """
+    kind = draw(st.sampled_from(["product", "factors", "points"]))
+    blank = st.sampled_from(BLANKS)
+    value = st.sampled_from(MULTS if kind == "points" else CHAINS)
+    pieces, entries = [draw(blank)], []  # entries: the index of each label and value
+    if kind == "product":
+        for i in range(draw(st.integers(1, 4))):
+            pieces += ["*", draw(blank)] if i else []
+            entries.append(len(pieces))
+            pieces += [draw(value), draw(blank)]
+    else:
+        pieces += ["[" if kind == "factors" else "{", draw(blank)]
+        for i in range(draw(st.integers(0, 4))):
+            pieces += [",", draw(blank)] if i else []
+            entries += [len(pieces), len(pieces) + 4]
+            pieces += [draw(st.sampled_from(LABELS)), draw(blank), ":", draw(blank),
+                       draw(value), draw(blank)]
+        pieces += ["]" if kind == "factors" else "}", draw(blank)]
+    if entries and draw(st.booleans()):
+        return pieces, draw(st.sampled_from(entries))
+    return pieces, draw(st.integers(0, len(pieces) - 1))
+
+
+def _outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except ParseError as err:
+        return str(err), err.position
+
+
+@settings(max_examples=200, deadline=None)
+@given(object_pieces())
+def test_parsers_return_what_the_token_walk_returns(drawn):
+    """On a well-formed object, and on it with the drawn piece replaced by each of
+    REPLACEMENTS, the fast pattern and the walk give the same object, or the same
+    error at the same place."""
+    pieces, at = drawn
+    texts = ["".join(pieces)]
+    texts += ["".join(pieces[:at] + [piece] + pieces[at + 1:]) for piece in REPLACEMENTS]
+    for text in texts:
+        assert _outcome(parse_algebra, text) == _outcome(_walk_algebra, text)
+        assert _outcome(parse_multiset, text) == _outcome(_walk_multiset, text)
 
 
 def test_parse_term_tautology_shape():
