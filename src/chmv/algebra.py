@@ -264,42 +264,29 @@ def maximal_ideals(A: ProductAlgebra) -> list[SupportIdeal]:
 
 @dataclass(frozen=True)
 class Prop21Report:
-    """The paper's principal-maximal-ideal statement (Proposition 2.1) at one ideal.
+    """The witnesses of the paper's principal-maximal-ideal statement (Proposition 2.1).
 
     For a maximal ideal M of a product of chains the proposition makes four
     conditions equivalent: M is principal; M is the kernel of a projection;
     M omits the direct-sum ideal; sup M lies in M and in the Boolean center.
-    A maximal support ideal frees all coordinates but one, so it is a
-    projection kernel and omits the direct sum by construction; the report
-    computes the other two, on the witness generator and on the supremum.
+    A maximal support ideal frees all coordinates but one, so all four hold by
+    construction.  The report names M's generator and the point whose projection
+    has kernel M; the ideal-oracle suite checks them against brute-force ideals.
     """
 
-    principal: bool
-    sup_in_center: bool
     generator: Element
     point: str
 
-    @property
-    def all_hold(self) -> bool:
-        return self.principal and self.sup_in_center
-
 
 def prop21_report(M: SupportIdeal) -> Prop21Report:
-    """Evaluate the principality conditions on a maximal ideal."""
+    """The witnesses of Proposition 2.1 at a maximal ideal."""
     A = M.algebra
     missing = [x for x in A.labels if x not in M.free]
     if len(missing) != 1:
         raise NotMaximalError(
             f"ideal frees {len(M.free)} of {len(A.labels)} coordinates; not maximal"
         )
-    gen = characteristic(A, M.free)
-    sup = ideal_sup(M)
-    return Prop21Report(
-        principal=principal_ideal(gen) == M and ideal_membership(gen, M),
-        sup_in_center=ideal_membership(sup, M) and boolean_center_contains(sup),
-        generator=gen,
-        point=missing[0],
-    )
+    return Prop21Report(generator=characteristic(A, M.free), point=missing[0])
 
 
 # --- brute-force oracles -------------------------------------------------

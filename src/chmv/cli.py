@@ -22,14 +22,11 @@ import itertools
 import json
 import math
 import os
-import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
-from . import algebra as alg
 from . import duality as dual
 from . import dsl
 from . import multiset as ms
@@ -61,15 +58,8 @@ def _read_arg(text: str) -> str:
     return text
 
 
-def _parse_object(text: str):
-    """An algebra or a multiset, told apart by the leading brace."""
-    if text.lstrip().startswith("{"):
-        return dsl.parse_multiset(text)
-    return dsl.parse_algebra(text)
-
-
 def cmd_classify(args: argparse.Namespace) -> CommandResult:
-    obj = _parse_object(_read_arg(args.spec))
+    obj = dsl.parse_object(_read_arg(args.spec))
     profile = ms.profile_of(obj if isinstance(obj, ms.EMultiset) else dual.H_obj(obj))
     report = {
         "hyperarchimedean": st.is_hyperarchimedean(profile),
@@ -85,7 +75,7 @@ def cmd_classify(args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_dual(args: argparse.Namespace) -> CommandResult:
-    obj = _parse_object(_read_arg(args.spec))
+    obj = dsl.parse_object(_read_arg(args.spec))
     if isinstance(obj, ms.EMultiset):
         out = dual.F_obj(obj)
         shape = " * ".join(str(c) for _, c in out.factors) if out.factors else "[]"
@@ -105,7 +95,7 @@ def cmd_homs(args: argparse.Namespace) -> CommandResult:
     dict in product order (first coordinate slowest), the order of
     enumerate_morphisms and enumerate_continuous_homs, through a _Listing.
     """
-    a, b = _parse_object(_read_arg(args.src)), _parse_object(_read_arg(args.dst))
+    a, b = dsl.parse_object(_read_arg(args.src)), dsl.parse_object(_read_arg(args.dst))
     if isinstance(a, ms.EMultiset) != isinstance(b, ms.EMultiset):
         raise ValueError("source and target must both be algebras or both multisets")
     if isinstance(a, ms.EMultiset):
@@ -122,79 +112,13 @@ def cmd_homs(args: argparse.Namespace) -> CommandResult:
     return CommandResult("ok", {"count": total, "homs": _Listing(key, labels, choices)})
 
 
-# A coordinate is an optional sign, then an integer, p/q or a decimal, in ASCII
-# digits: the same on every Python version, whose Fraction() grammars differ
-# (underscores from 3.11, blanks around '/' from 3.12).
-_COORDINATE_RE = re.compile(r"([-+]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?")
-
-# Exponent notation, which Fraction() reads, gets its own message.
-_EXPONENT_RE = re.compile(
-    r"[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?[eE][-+]?\d+(?:_\d+)*"
-)
-
-
-_TOO_LONG = f"numerator or denominator longer than {dsl.MAX_DIGITS} digits"
-
-
-def _parse_coordinate(text: str) -> Fraction:
-    m = _COORDINATE_RE.fullmatch(text)
-    if m is None:
-        if not text.isascii() and any(ch.isdecimal() for ch in text):
-            raise ValueError(f"coordinate {text!r} has a non-ASCII digit")
-        if _EXPONENT_RE.fullmatch(text):
-            raise ValueError(
-                f"coordinate {text!r} uses exponent notation; write an integer, p/q or a decimal"
-            )
-        if any(len(run) > dsl.MAX_DIGITS for run in re.findall(r"\d+", text.replace("_", ""))):
-            raise ValueError(_TOO_LONG)
-        raise ValueError(f"coordinate {text!r} is not an integer, p/q or a decimal")
-    long = len(text) > dsl.MAX_DIGITS  # else no number in it, nor its value, reaches DIGITS_BOUND
-    if long and any(len(run) > dsl.MAX_DIGITS for run in m.groups("")):
-        raise ValueError(_TOO_LONG)
-    sign, whole, den, decimals = m.groups()
-    if decimals is not None:
-        q = 10 ** len(decimals)
-        num = int(whole or "0") * q + int(decimals or "0")
-    else:
-        num, q = int(whole), int(den or "1")
-        if not q:
-            raise ValueError(f"zero denominator in {text!r}")
-    value = Fraction(-num if sign == "-" else num, q)
-    if long and max(abs(value.numerator), value.denominator) >= dsl.DIGITS_BOUND:
-        raise ValueError(_TOO_LONG)
-    return value
-
-
-def _parse_element(text: str, A: alg.ProductAlgebra, where: str) -> alg.Element:
-    """The element written `(c1, ..., cn)`; every error it raises starts with `where`."""
-    body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    parts = [p.strip() for p in body.split(",")] if body else []
-    try:
-        return alg.make_element(A, [_parse_coordinate(p) for p in parts])
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
 def cmd_eval(args: argparse.Namespace) -> CommandResult:
-    term_text, algebra_text, env_text = _read_arg(args.term), _read_arg(args.algebra), args.env
+    term_text, algebra_text = _read_arg(args.term), _read_arg(args.algebra)
     A = dsl.parse_algebra(algebra_text)
-    term = dsl.parse_term(term_text)
-    env = {}
-    if env_text:
-        for binding in env_text.split(";"):
-            name, _, value = binding.partition("=")
-            name = name.strip()
-            if not value or not name:
-                raise ValueError(f"bad binding {binding!r}")
-            if name in env:
-                raise ValueError(f"bad binding {binding!r}: {name!r} is already bound")
-            env[name] = _parse_element(value, A, f"binding {name!r}")
-    result = dsl.eval_term(term, env, A)
+    result = dsl.eval_term(dsl.parse_term(term_text), dsl.parse_env(args.env, A), A)
     for lbl, v in zip(A.labels, result.coords):
         if v.denominator >= dsl.DIGITS_BOUND:  # 0 <= v <= 1: the numerator is no longer
-            raise ValueError(f"result at {lbl!r}: {_TOO_LONG}")
+            raise ValueError(f"result at {lbl!r}: {dsl.TOO_LONG}")
     return CommandResult(
         "ok", {"coords": {lbl: str(v) for lbl, v in zip(A.labels, result.coords)}}
     )

@@ -3,6 +3,8 @@
 Algebras: "L2 * L3" (labels auto-assigned x1, x2, ...) or the labelled
 form "[a: L2, b: Linf]"; "[]" is the one-element algebra.
 Multisets: "{a:2, b:inf}".
+Bindings of elements of an algebra (chmv eval --env): "x=(1/2, 0.25); y=(1, 0)";
+each coordinate is an optional sign, then an integer, p/q or a decimal.
 Terms: constants 0 and 1, identifiers, "~" for negation, "(+)" truncated
 sum, "(.)" the dual product, "/\\" meet, "\\/" join, "->" implication;
 precedence from tightest to loosest is ~, (.), (+), /\\, \\/, ->, all
@@ -28,7 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .algebra import AlgebraError, Element, ProductAlgebra, _trusted_element, make_algebra
 from .chain import MV_KERNELS, ChainError, ChainSize, LINF
@@ -106,7 +108,7 @@ _IDENT_RE = re.compile(_LABEL + r"\Z")
 _CHAIN_RE = re.compile(rf"L({_DIGIT}+)\Z")
 
 # Python reads and prints integers below 10^4300 (the default of
-# sys.set_int_max_str_digits); cli's eval and homs refuse larger numbers too.
+# sys.set_int_max_str_digits); cli's eval and homs refuse larger results too.
 # A chain size n prints as Ln and, in its dual, as the multiplicity n - 1; a
 # multiplicity m as m and as the chain L(m+1).  So chain sizes are refused from
 # DIGITS_BOUND on and multiplicities from DIGITS_BOUND - 1 on: the dual of every
@@ -115,14 +117,20 @@ MAX_DIGITS = 4300
 DIGITS_BOUND = 10 ** MAX_DIGITS
 _CHAIN_LIMIT = f"chain size must be below 10^{MAX_DIGITS}"
 _MULT_LIMIT = f"multiplicity must be below 10^{MAX_DIGITS} - 1"
+TOO_LONG = f"numerator or denominator longer than {MAX_DIGITS} digits"
 
 
-def _decimal_below(cur: _Cursor, digits: str, bound: int, message: str) -> int:
-    """The value of the decimal digits of the last token read, which must be below bound."""
-    digits = digits.lstrip("0") or "0"  # int() counts leading zeros against its limit
+def _below(digits: str, bound: int, error: Callable[[str], Exception], message: str) -> int:
+    """The value of a run of ASCII digits below bound; else raises error(message).
+
+    Chain sizes, multiplicities and coordinates read their numbers here (the
+    fast patterns take only short unpadded ones).  Leading zeros are dropped
+    first, as int() counts them against its limit.
+    """
+    digits = digits.lstrip("0") or "0"
     value = int(digits) if len(digits) <= MAX_DIGITS else bound
     if value >= bound:
-        raise cur.error(message)
+        raise error(message)
     return value
 
 
@@ -133,7 +141,7 @@ def _parse_chain_size(cur: _Cursor) -> ChainSize:
     m = _CHAIN_RE.match(tok)
     if not m:
         raise cur.error(f"expected a chain like L3 or Linf, found {tok!r}")
-    n = _decimal_below(cur, m.group(1), DIGITS_BOUND, _CHAIN_LIMIT)
+    n = _below(m.group(1), DIGITS_BOUND, cur.error, _CHAIN_LIMIT)
     try:
         return ChainSize(n)
     except ChainError as exc:
@@ -146,7 +154,7 @@ def _parse_mult(cur: _Cursor) -> Mult:
         return INF
     if not (tok.isascii() and tok.isdecimal()):  # \d+ also reads other scripts' digits
         raise cur.error(f"expected a multiplicity or 'inf', found {tok!r}")
-    m = _decimal_below(cur, tok, DIGITS_BOUND - 1, _MULT_LIMIT)
+    m = _below(tok, DIGITS_BOUND - 1, cur.error, _MULT_LIMIT)
     if m < 1:
         raise cur.error("multiplicity must be at least 1")
     return m
@@ -261,6 +269,72 @@ def _walk_multiset(text: str) -> EMultiset:
         return EMultiset(points)
     except MultisetError as exc:
         raise ParseError(str(exc), _repeated_label(text, points)) from None
+
+
+def parse_object(text: str) -> ProductAlgebra | EMultiset:
+    """An algebra or a multiset, told apart by the leading brace."""
+    if text.lstrip().startswith("{"):
+        return parse_multiset(text)
+    return parse_algebra(text)
+
+
+# --- bindings ---------------------------------------------------------------
+
+# A coordinate is an optional sign, then an integer, p/q or a decimal, in ASCII
+# digits: the same on every Python version, whose Fraction() grammars differ
+# (underscores from 3.11, blanks around '/' from 3.12).
+_COORDINATE_RE = re.compile(rf"([-+]?)(?=\.?{_DIGIT})({_DIGIT}*)(?:/({_DIGIT}+)|\.({_DIGIT}*))?")
+
+# Exponent notation, which Fraction() reads, gets its own message.
+_EXPONENT_RE = re.compile(
+    r"[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?[eE][-+]?\d+(?:_\d+)*"
+)
+
+
+def _parse_coordinate(text: str) -> Fraction:
+    """The coordinate's value: w.d reads as wd/10^len(d), without d's trailing zeros."""
+    m = _COORDINATE_RE.fullmatch(text)
+    if m is None:
+        if not text.isascii() and any(ch.isdecimal() for ch in text):
+            raise ValueError(f"coordinate {text!r} has a non-ASCII digit")
+        if _EXPONENT_RE.fullmatch(text):
+            raise ValueError(
+                f"coordinate {text!r} uses exponent notation; write an integer, p/q or a decimal"
+            )
+        raise ValueError(f"coordinate {text!r} is not an integer, p/q or a decimal")
+    sign, whole, den, decimals = m.groups("")
+    decimals = decimals.rstrip("0")
+    num = _below(whole + decimals, DIGITS_BOUND, ValueError, TOO_LONG)
+    q = _below(den, DIGITS_BOUND, ValueError, TOO_LONG) if den else 10 ** len(decimals)
+    if not q:
+        raise ValueError(f"zero denominator in {text!r}")
+    value = Fraction(-num if sign == "-" else num, q)
+    if value.denominator >= DIGITS_BOUND:  # only 10^len(d) can reach it; no numerator tops num
+        raise ValueError(TOO_LONG)
+    return value
+
+
+def parse_env(text: str, A: ProductAlgebra) -> dict[str, Element]:
+    """The bindings `x=(c1, ..., cn); y=(...)` of elements of A, each name once; none for "".
+
+    Every error about the element bound to x starts with `binding 'x': `."""
+    env = {}
+    for binding in text.split(";") if text else ():
+        name, _, value = binding.partition("=")
+        name = name.strip()
+        if not value or not name:
+            raise ValueError(f"bad binding {binding!r}")
+        if name in env:
+            raise ValueError(f"bad binding {binding!r}: {name!r} is already bound")
+        body = value.strip()
+        if body.startswith("(") and body.endswith(")"):
+            body = body[1:-1]
+        parts = [p.strip() for p in body.split(",")] if body else []
+        try:
+            env[name] = Element(A, tuple([_parse_coordinate(p) for p in parts]))
+        except ValueError as exc:
+            raise ValueError(f"binding {name!r}: {exc}") from None
+    return env
 
 
 # --- terms ------------------------------------------------------------------

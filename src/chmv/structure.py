@@ -57,12 +57,21 @@ def urysohn_strauss_holds(P: Profile) -> bool:
 
 
 def is_projective(P: Profile) -> bool:
-    """A two-element factor is present."""
+    """A two-element factor is present: projective relative to surjective homs.
+
+    Not relative to all epis: the inclusion L2 -> L3 is one (a hom out of L3
+    must send 1/2 to the x with x = ~x), and the projection L2 x L3 -> L3,
+    which hits 1/2, does not lift through it."""
     return P.cardinality(1) != 0
 
 
 def injective_in_EM(X: EMultiset) -> bool:
-    """Some point has multiplicity 1."""
+    """Some point has multiplicity 1: injective relative to embeddings.
+
+    An embedding is an injective morphism that keeps multiplicities; maps
+    extend along it by sending each new point to one of multiplicity 1.  Not
+    relative to all injective morphisms: in I = {a:1, b:2}, f: p -> b from
+    {p:2} has no extension along m: {p:2} -> {q:1}, as 2 does not divide 1."""
     return any(m == 1 for _, m in X.points)
 
 

@@ -143,20 +143,23 @@ def suite_ideals(max_factors=3) -> SuiteResult:
         }
         expected = {alg.ideal_elements(M) for M in alg.maximal_ideals(A)}
         rec.check(maximal == expected, lambda: f"maximal ideals of {dsl.render(A)}")
-        for M in alg.maximal_ideals(A):
-            report = alg.prop21_report(M)
+        for M in alg.maximal_ideals(A):  # Proposition 2.1, against the brute-force ideals
+            report, elems = alg.prop21_report(M), alg.ideal_elements(M)
+            gen, at = report.generator, A.positions[report.point]
+            least = frozenset.intersection(*[I for I in found if gen in I])
             rec.check(
-                report.all_hold,
-                lambda: f"four conditions at {sorted(M.free)} in {dsl.render(A)}",
-            )
-            rec.check(
-                alg.principal_ideal(report.generator) == M
-                and alg.ideal_membership(report.generator, M),
+                least == elems and alg.principal_ideal(gen) == M,
                 lambda: f"generator witness at {sorted(M.free)} in {dsl.render(A)}",
             )
-            sup = alg.ideal_sup(M)
             rec.check(
-                alg.ideal_membership(sup, M) and alg.boolean_center_contains(sup),
+                frozenset(f for f in all_elems if f.coords[at] == 0) == elems,
+                lambda: f"kernel of the projection at {report.point} in {dsl.render(A)}",
+            )
+            top = alg.make_element(A, map(max, zip(*[f.coords for f in elems])))
+            rec.check(
+                top == alg.ideal_sup(M) and top in elems
+                and alg.pointwise_op("oplus", top, top) == top
+                and alg.boolean_center_contains(top),
                 lambda: f"sup of {sorted(M.free)} in center",
             )
     return rec

@@ -21,6 +21,7 @@ from chmv.dsl import (
     _walk_multiset,
     eval_term,
     parse_algebra,
+    parse_env,
     parse_multiset,
     parse_term,
     render,
@@ -75,6 +76,59 @@ def test_parse_multiset_syntax_errors():
     for bad in ("{a}", "{a:2", "{a:b}", "{a:2,}"):
         with pytest.raises(ParseError):
             parse_multiset(bad)
+
+
+LINF_ALGEBRA = make_algebra([("x1", LINF)])
+PADDING = st.sampled_from([0, 1, 4300, 4301])
+DIGITS = st.one_of(st.integers(0, 10 ** 6).map(str),
+                   st.sampled_from(["9" * 4300, "1" + "0" * 4300]))
+
+
+@st.composite
+def padded_coordinates(draw):
+    """A coordinate, and the same coordinate with its numbers padded by zeros.
+
+    Leading zeros pad each number; trailing zeros pad the digits after a decimal point.
+    """
+    sign, whole = draw(st.sampled_from(["", "+", "-"])), draw(DIGITS)
+    kind = draw(st.sampled_from(["integer", "p/q", "decimal"]))
+    if kind == "integer":
+        return sign + whole, sign + "0" * draw(PADDING) + whole
+    if kind == "p/q":
+        den = draw(DIGITS)
+        padded = f"{sign}{'0' * draw(PADDING)}{whole}/{'0' * draw(PADDING)}{den}"
+        return f"{sign}{whole}/{den}", padded
+    whole = draw(st.sampled_from(["", "0", "1"]))
+    decimals = "0" * draw(st.sampled_from([0, 4298])) + draw(DIGITS)
+    padded = f"{sign}{'0' * draw(PADDING)}{whole}.{decimals}{'0' * draw(PADDING)}"
+    return f"{sign}{whole}.{decimals}", padded
+
+
+def _reading(text: str) -> Fraction | None:
+    """The coordinate text as parse_env reads it in Linf, or None when it is refused."""
+    try:
+        return parse_env(f"x=({text})", LINF_ALGEBRA)["x"].coords[0]
+    except ValueError:
+        return None
+
+
+@given(padded_coordinates())
+@settings(max_examples=200)
+def test_zero_padding_changes_no_coordinate(texts):
+    """Zero padding counts against no digit limit, even in a text over 4,300 characters."""
+    text, padded = texts
+    assert _reading(padded) == _reading(text)
+
+
+def test_a_decimal_under_the_digit_limit_keeps_its_value():
+    assert _reading("0." + "0" * 4298 + "25") == Fraction(1, 4 * 10 ** 4298)
+
+
+def test_a_coordinate_outside_the_grammar_is_named_so_however_long():
+    text = "1_" + "0" * 4300
+    with pytest.raises(ValueError) as err:
+        parse_env(f"x=({text})", LINF_ALGEBRA)
+    assert str(err.value) == f"binding 'x': coordinate {text!r} is not an integer, p/q or a decimal"
 
 
 TOO_LONG_MULT = "multiplicity must be below 10^4300 - 1"
