@@ -155,21 +155,23 @@ class _Listing:
     def __init__(self, key: str, labels: tuple[str, ...], choices: list[list[str]]) -> None:
         self.key, self.labels, self.choices = key, labels, choices
 
-    def dumps(self, pad: str) -> str:
-        """What _dumps writes for the materialised list at `pad`."""
+    def write(self, pad: str, out: list[str]) -> None:
+        """Append to out what _dumps writes for the materialised list at `pad`."""
         entry, inner, innermost = pad + "  ", pad + "    ", pad + "      "
         head = "{" + inner + _quote(self.key) + ": "
         if not self.labels:  # one map, the empty one
-            return "[" + entry + head + "{}" + entry + "}" + pad + "]"
+            out.append("[" + entry + head + "{}" + entry + "}" + pad + "]")
+            return
         pieces = [
             [f"{_quote(label)}: {_quote(c)}" for c in cs]
             for label, cs in zip(self.labels, self.choices)
         ]
         maps = [("," + innermost).join(pick) for pick in itertools.product(*pieces)]
         if not maps:
-            return "[]"
+            out.append("[]")
+            return
         start, end = head + "{" + innermost, inner + "}" + entry + "}"  # around each map's pieces
-        return "[" + entry + start + (end + "," + entry + start).join(maps) + end + pad + "]"
+        out += ("[" + entry + start, (end + "," + entry + start).join(maps), end + pad + "]")
 
 
 def _dumps(obj, pad: str = "\n") -> str:
@@ -180,33 +182,58 @@ def _dumps(obj, pad: str = "\n") -> str:
     list of dicts), because `indent` sends json.dumps to its pure-Python
     encoder before Python 3.13.  The one emitter for every version: the C
     encoder would need a `default` hook to expand a _Listing.  Anything else
-    goes to json.dumps.
+    goes to json.dumps.  _write puts the pieces in one list, joined once
+    here, so a listing's text is copied once, not once per level of nesting.
     """
+    out: list[str] = []
+    _write(obj, pad, out)
+    return "".join(out)
+
+
+def _write(obj, pad: str, out: list[str]) -> None:
+    """Append the pieces of _dumps(obj, pad) to out."""
     kind = type(obj)
     if kind is str:
-        return _quote(obj)
-    if kind is int:
-        return str(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if kind is list or kind is dict:
-        if not obj:
-            return "[]" if kind is list else "{}"
+        out.append(_quote(obj))
+    elif kind is int:
+        out.append(str(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif kind is _Listing:
+        obj.write(pad, out)
+    elif (kind is list or kind is dict) and not obj:
+        out.append("[]" if kind is list else "{}")
+    elif kind is list:
         inner = pad + "  "
-        if kind is list:
-            return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + pad + "]"
-        items = []
-        for k, v in obj.items():
-            if type(k) is not str:  # json.dumps spells other keys its own way
-                break
-            items.append(f"{_quote(k)}: {_quote(v) if type(v) is str else _dumps(v, inner)}")
-        else:
-            return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if kind is _Listing:
-        return obj.dumps(pad)
-    return json.dumps(obj, indent=2, default=str).replace("\n", pad)
+        sep = "[" + inner
+        for v in obj:
+            if type(v) is str:
+                out.append(sep + _quote(v))
+            else:
+                out.append(sep)
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        if kind is dict:
+            inner, mark = pad + "  ", len(out)
+            sep = "{" + inner
+            for k, v in obj.items():
+                if type(k) is not str:  # json.dumps spells other keys its own way
+                    del out[mark:]
+                    break
+                if type(v) is str:
+                    out.append(f"{sep}{_quote(k)}: {_quote(v)}")
+                else:
+                    out.append(f"{sep}{_quote(k)}: ")
+                    _write(v, inner, out)
+                sep = "," + inner
+            else:
+                out.append(pad + "}")
+                return
+        out.append(json.dumps(obj, indent=2, default=str).replace("\n", pad))
 
 
 def _emit(result: CommandResult, fmt: str) -> None:
@@ -244,10 +271,10 @@ class _Option:
     choices: tuple[str, ...] | None = None
     required: bool = False
     help: str | None = None
+    dest: str = field(init=False)
 
-    @property
-    def dest(self) -> str:
-        return self.flag[2:].replace("-", "_")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dest", self.flag[2:].replace("-", "_"))
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
         parser.add_argument(

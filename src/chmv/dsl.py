@@ -10,11 +10,13 @@ sum, "(.)" the dual product, "/\\" meet, "\\/" join, "->" implication;
 precedence from tightest to loosest is ~, (.), (+), /\\, \\/, ->, all
 binaries left-associative.
 
-Two readers share the object grammars.  A well-formed algebra or multiset
-whose numbers are ASCII, without a leading zero and at most _FAST_DIGITS
-digits long, is read by one fullmatch and one findall of a compiled pattern.
-Every other text, and every term, goes to the token walk (_Cursor): it is the
-only code that raises ParseError, so every error message and position is its.
+Algebras, multisets and terms have two readers each.  A well-formed algebra
+or multiset whose numbers are ASCII, without a leading zero and at most
+_FAST_DIGITS digits long, is read by one fullmatch and one findall of a
+compiled pattern.  A well-formed term of at most MAX_TERM_DEPTH tokens is read
+by one operator-precedence pass over its tokens (_read_term).  Every other
+text goes to the token walk (_Cursor): it is the only code that raises
+ParseError, so every error message and position is its.
 
 A ParseError carries the character offset of the offending token in the
 input text.  The walk reads the tokens as plain strings, so the offset is
@@ -292,7 +294,12 @@ _EXPONENT_RE = re.compile(
 
 
 def _parse_coordinate(text: str) -> Fraction:
-    """The coordinate's value: w.d reads as wd/10^len(d), without d's trailing zeros."""
+    """The coordinate's value: w.d reads as wd/10^len(d), without d's trailing zeros.
+
+    A numerator below 10^MAX_DIGITS leaves over 10^(len(d) - MAX_DIGITS) of
+    10^len(d) in the lowest-terms denominator, so from len(d) = 2 * MAX_DIGITS
+    on the decimal is too long before the power is taken.
+    """
     m = _COORDINATE_RE.fullmatch(text)
     if m is None:
         if not text.isascii() and any(ch.isdecimal() for ch in text):
@@ -305,6 +312,8 @@ def _parse_coordinate(text: str) -> Fraction:
     sign, whole, den, decimals = m.groups("")
     decimals = decimals.rstrip("0")
     num = _below(whole + decimals, DIGITS_BOUND, ValueError, TOO_LONG)
+    if len(decimals) >= 2 * MAX_DIGITS:
+        raise ValueError(TOO_LONG)
     q = _below(den, DIGITS_BOUND, ValueError, TOO_LONG) if den else 10 ** len(decimals)
     if not q:
         raise ValueError(f"zero denominator in {text!r}")
@@ -342,23 +351,25 @@ def parse_env(text: str, A: ProductAlgebra) -> dict[str, Element]:
 class Term:
     """Abstract syntax of an MV term."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     value: int  # 0 or 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp(Term):
     op: str  # oplus, odot, meet, join, implies
     left: Term
@@ -386,6 +397,67 @@ def parse_term(text: str) -> Term:
     after any syntax error, at the token where it first grew too high: the
     operand of a run of negations, or the operator that lengthens a chain.
     """
+    term = _read_term(text)
+    return _walk_term(text) if term is None else term
+
+
+_LABEL_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# What waits on _read_term's operator stack besides the binaries of _LEVEL_OF:
+# a "(" and a "~", below every binary level
+_OPEN, _NOT = (-1, "("), (-1, "~")
+_WAITING = {"(": _OPEN, "~": _NOT}
+
+
+def _read_term(text: str) -> Term | None:
+    """parse_term of a well-formed text of at most MAX_TERM_DEPTH tokens; None for any other.
+
+    One operator-precedence (shunting-yard) pass: operands wait on `out`, and
+    `ops` holds the waiting "(", "~" and binaries.  A binary first joins the
+    waiting binaries of its level or tighter, so chains associate to the left;
+    a "~" waits until its operand is complete.  Every node and every step of
+    depth takes a token of its own, so such a text is never too deep.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    if len(tokens) > MAX_TERM_DEPTH:
+        return None
+    tokens.append(")")  # closes the "(" that ops starts with
+    out: list[Term] = []
+    ops = [_OPEN]
+    operand = True  # whether an operand comes next
+    for tok in tokens:
+        if operand:
+            waiting = _WAITING.get(tok)
+            if waiting is not None:
+                ops.append(waiting)
+                continue
+            if tok[0] in _LABEL_START:  # such a token is a whole _LABEL
+                out.append(Var(tok))
+            elif tok == "0" or tok == "1":
+                out.append(Const(int(tok)))
+            else:
+                return None
+        else:
+            entry = _LEVEL_OF.get(tok)
+            level = 0 if entry is None else entry[0]  # ")" joins every binary since its "("
+            while ops and ops[-1][0] >= level:
+                op = ops.pop()[1]
+                right = out.pop()
+                out[-1] = BinOp(op, out[-1], right)
+            if entry is not None:
+                ops.append(entry)
+                operand = True
+                continue
+            if tok != ")" or not ops or ops.pop() is not _OPEN:
+                return None
+        while ops and ops[-1] is _NOT:  # their operand is complete
+            ops.pop()
+            out[-1] = Neg(out[-1])
+        operand = False
+    return None if ops else out[0]
+
+
+def _walk_term(text: str) -> Term:
+    """parse_term by the token walk, which reads every text and places every error."""
     cur = _Cursor(text)
     cur.too_high = None  # index of that token
     term, height = _parse_binary(cur, 0, 0)
@@ -451,18 +523,23 @@ _fraction = lru_cache(maxsize=1024)(Fraction)  # eval_term's root values recur; 
 def eval_term(t: Term, env: dict[str, Element], A: ProductAlgebra) -> Element:
     """Evaluate by structural recursion on integer numerators.
 
-    Coordinate k gets one denominator D_k, the lcm of the denominators at k
-    of the bindings in env that live in A, each written once as numerators
-    over D_k.  This is exact: the operations act on each coordinate alone,
-    0 and 1 are 0/D_k and D_k/D_k, and each kernel of chain.MV_KERNELS, like
-    negation D_k - a, only adds, subtracts and compares integers, so it takes
-    numerators over D_k to one over D_k.  Fractions are built at the root.
-    The leftmost variable that is unbound, or bound outside A, raises.
+    Coordinate k gets one denominator D_k: n - 1 when factor k is L_n, and
+    the lcm of the denominators at k of the bindings in env that live in A
+    when it is Linf.  Each binding that lives in A is written once as
+    numerators over the D_k.  This is exact: a binding is a validated
+    Element, so its coordinate in L_n lies on the grid of multiples of
+    1/(n - 1), and D_k is a multiple of its denominator; the operations act
+    on each coordinate alone, 0 and 1 are 0/D_k and D_k/D_k, and each kernel
+    of chain.MV_KERNELS, like negation D_k - a, only adds, subtracts and
+    compares integers, so it takes numerators over D_k to one over D_k.
+    Fractions are built at the root.  The leftmost variable that is unbound,
+    or bound outside A, raises.
     """
     bound = {x: e.coords for x, e in env.items() if e.algebra is A or e.algebra == A}
-    dens = (1,) * len(A.factors)
-    for coords in bound.values():
-        dens = tuple(map(math.lcm, dens, [v.denominator for v in coords]))
+    dens = tuple([
+        c.n - 1 if c.n is not None else math.lcm(*[v[k].denominator for v in bound.values()])
+        for k, (_, c) in enumerate(A.factors)
+    ])
     nums = {x: tuple([v.numerator * (d // v.denominator) for v, d in zip(c, dens)])
             for x, c in bound.items()}
 

@@ -100,8 +100,11 @@ def is_surjective_hom(h: ContinuousHom) -> bool:
 
 
 def lift(phi: ContinuousHom, psi: ContinuousHom, s0: str) -> ContinuousHom:
-    """Lift phi: A -> B along a surjection psi: C -> B using a two-element factor.
+    """Lift phi: A -> B along a surjective hom psi: C -> B using a two-element factor.
 
+    The lifts are those of is_projective: along surjective homs, not along
+    every epi.  The inclusion L2 -> L3 is an epi that is not surjective, and
+    the projection L2 x L3 -> L3 does not lift through it; lift refuses it.
     Coordinates of C hit by psi's index map copy phi's assignment; every
     other coordinate reads the fixed factor s0 of A.
     """

@@ -1,5 +1,8 @@
 import ast
+import copy
+import dataclasses
 import itertools
+import pickle
 import re
 import time
 from fractions import Fraction
@@ -17,8 +20,11 @@ from chmv.dsl import (
     ParseError,
     UnboundVariableError,
     Var,
+    _TOKEN_RE,
+    _read_term,
     _walk_algebra,
     _walk_multiset,
+    _walk_term,
     eval_term,
     parse_algebra,
     parse_env,
@@ -122,6 +128,19 @@ def test_zero_padding_changes_no_coordinate(texts):
 
 def test_a_decimal_under_the_digit_limit_keeps_its_value():
     assert _reading("0." + "0" * 4298 + "25") == Fraction(1, 4 * 10 ** 4298)
+
+
+def test_a_decimal_too_long_for_any_denominator_fails_fast():
+    """From 8,600 digits after the point the lowest-terms denominator is 10^4300 or more."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        parse_env("x=(0." + "0" * 2 * 10 ** 6 + "1)", LINF_ALGEBRA)
+    assert time.perf_counter() - start < 0.25
+    assert str(err.value) == "binding 'x': numerator or denominator longer than 4300 digits"
+    # 5^6151 has 4,300 digits; over 10^8599 its lowest-terms denominator is 2^8599 * 5^2448
+    digits = str(5 ** 6151)
+    assert _reading("0." + digits.zfill(8599)) == Fraction(5 ** 6151, 10 ** 8599)
+    assert _reading("0." + digits.zfill(8600)) is None
 
 
 def test_a_coordinate_outside_the_grammar_is_named_so_however_long():
@@ -280,6 +299,52 @@ def test_parsers_return_what_the_token_walk_returns(drawn):
     for text in texts:
         assert _outcome(parse_algebra, text) == _outcome(_walk_algebra, text)
         assert _outcome(parse_multiset, text) == _outcome(_walk_multiset, text)
+
+
+# Pieces that replace one token of a well-formed term: the DSL's pieces, digit
+# runs and stray characters
+TERM_REPLACEMENTS = DSL_PIECES + ["00", "10", "123", "\u0663", "$", "\u00a0", "] x"]
+
+
+@st.composite
+def term_tokens(draw):
+    """The tokens of a well-formed term, and the index of one of them.
+
+    Two times in three a shorter term is wrapped in parentheses and a "~" up
+    to 100 or 101 tokens, around the longest text the one-pass reader takes.
+    """
+    tokens = _TOKEN_RE.findall(render(draw(terms)))
+    size = draw(st.sampled_from([0, MAX_TERM_DEPTH, MAX_TERM_DEPTH + 1]))
+    if len(tokens) < size:
+        pairs, odd = divmod(size - len(tokens), 2)
+        tokens = ["~"] * odd + ["("] * pairs + tokens + [")"] * pairs
+    return tokens, draw(st.integers(0, len(tokens) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_tokens())
+def test_term_reader_returns_what_the_token_walk_returns(drawn):
+    """On a well-formed term, and on it with the drawn token replaced by each of
+    TERM_REPLACEMENTS, parse_term and the walk give the same term, or the same
+    error at the same place; the one-pass reader takes every well-formed text
+    of at most MAX_TERM_DEPTH tokens."""
+    tokens, at = drawn
+    text = " ".join(tokens)
+    assert (_read_term(text) is None) == (len(tokens) > MAX_TERM_DEPTH)
+    texts = [text] + [" ".join(tokens[:at] + [piece] + tokens[at + 1:])
+                      for piece in TERM_REPLACEMENTS]
+    for text in texts:
+        assert _outcome(parse_term, text) == _outcome(_walk_term, text)
+
+
+def test_terms_survive_copies_and_refuse_assignment():
+    t = parse_term("~x (+) 1")
+    for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert clone == t and hash(clone) == hash(t)
+    for node, field in [(t, "op"), (t.left, "arg"), (t.left.arg, "name"), (t.right, "value")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field, getattr(node, field))
+        assert not hasattr(node, "__dict__")
 
 
 def test_parse_term_tautology_shape():
@@ -449,6 +514,16 @@ def test_eval_term_matches_a_per_coordinate_reference(t, bound):
     value = eval_term(t, env, A)
     assert value.algebra == A
     assert value.coords == tuple(ref_eval(t, env, i) for i in range(len(A.factors)))
+
+
+def test_eval_term_reads_bindings_whose_denominators_divide_the_grid_step():
+    """In L7 the coordinates 1/2 and 1/3 have denominators that properly divide n - 1 = 6."""
+    A = parse_algebra("L7 * Linf")
+    env = {"x": make_element(A, [Fraction(1, 2), Fraction(1, 5)]),
+           "y": make_element(A, [Fraction(1, 3), Fraction(2, 7)])}
+    for text in ["x (+) y", "x (.) ~y", "~x -> y", "x /\\ ~y", "x \\/ y (.) ~x", "~(x (+) y) (+) 1"]:
+        t = parse_term(text)
+        assert eval_term(t, env, A).coords == tuple(ref_eval(t, env, i) for i in range(2)), text
 
 
 LEFTMOST_OFFENDERS = [
