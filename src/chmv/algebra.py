@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
 
 from .chain import _ONE, _ZERO, MV_KERNELS, ChainSize, check_member, mv_op
 

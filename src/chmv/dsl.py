@@ -10,16 +10,15 @@ sum, "(.)" the dual product, "/\\" meet, "\\/" join, "->" implication;
 precedence from tightest to loosest is ~, (.), (+), /\\, \\/, ->, all
 binaries left-associative.
 
-Algebras, multisets and terms have two readers each.  A well-formed algebra
-or multiset whose numbers are ASCII, without a leading zero and at most
-_FAST_DIGITS digits long, is read by one fullmatch and one findall of a
-compiled pattern.  A well-formed term of at most MAX_TERM_DEPTH tokens is read
-by one operator-precedence pass over its tokens (_read_term).  Every other
-text goes to the token walk (_Cursor): it is the only code that raises
-ParseError, so every error message and position is its.
+Algebras and multisets have two readers each.  A well-formed one whose
+numbers are ASCII, without a leading zero and at most _FAST_DIGITS digits
+long, is read by one fullmatch and one findall of a compiled pattern; every
+other text goes to the token walk (_Cursor), which raises every ParseError
+about an object.  Terms have one reader, parse_term: one operator-precedence
+pass over the tokens, which also places every ParseError about a term.
 
 A ParseError carries the character offset of the offending token in the
-input text.  The walk reads the tokens as plain strings, so the offset is
+input text.  The readers hold the tokens as plain strings, so the offset is
 found only when an error is raised, by scanning the text again.
 """
 
@@ -29,10 +28,10 @@ import itertools
 import math
 import operator
 import re
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
 
 from .algebra import AlgebraError, Element, ProductAlgebra, _trusted_element, make_algebra
 from .chain import MV_KERNELS, ChainError, ChainSize, LINF
@@ -51,12 +50,13 @@ class UnboundVariableError(ValueError):
     pass
 
 
-# The lexical fragments, each written once: the token walk, the label and chain
+# The lexical fragments, each written once: the tokenizer, the label and chain
 # checks and the fast patterns below are all compiled from them.
 _LABEL = r"[A-Za-z_][A-Za-z_0-9]*"
 _DIGIT = "[0-9]"  # ASCII only: \d also reads other scripts' digits
 
 _TOKEN_RE = re.compile(r"\(\+\)|\(\.\)|/\\|\\/|->|[~()\[\]{}:,*]|" + _LABEL + r"|\d+|\S")
+_END = "unexpected end of input"
 
 
 def _token_start(text: str, index: int) -> int:
@@ -65,17 +65,22 @@ def _token_start(text: str, index: int) -> int:
     return len(text) if m is None else m.start()
 
 
+def _check_characters(text: str, tokens: list[str]) -> None:
+    """Raise ParseError at the first token of text that is no character of the DSL."""
+    for t in tokens:
+        if len(t) == 1 and not (t.isalnum() or t in "~()[]{}:,*_"):
+            index = tokens.index(t)  # the first bad token: equal tokens are equally bad
+            raise ParseError(f"unexpected character {t!r}", _token_start(text, index))
+
+
 class _Cursor:
-    """The tokens of text as plain strings; a position is computed only for an error."""
+    """An object text's tokens as plain strings; a position is computed only for an error."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = _TOKEN_RE.findall(text)
         self.pos = 0
-        for t in self.tokens:
-            if len(t) == 1 and not (t.isalnum() or t in "~()[]{}:,*_"):
-                index = self.tokens.index(t)  # the first bad token: equal tokens are equally bad
-                raise ParseError(f"unexpected character {t!r}", _token_start(text, index))
+        _check_characters(text, self.tokens)
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -92,7 +97,7 @@ class _Cursor:
         try:
             tok = self.tokens[self.pos]
         except IndexError:
-            raise ParseError("unexpected end of input", len(self.text)) from None
+            raise ParseError(_END, len(self.text)) from None
         self.pos += 1
         return tok
 
@@ -382,139 +387,99 @@ _SYMBOL_OF = dict(_BINARY_LEVELS)
 _LEVEL_OF = {symbol: (level, op) for level, (op, symbol) in enumerate(_BINARY_LEVELS)}
 _PREC = {op: level for level, (op, _) in enumerate(_BINARY_LEVELS)}
 
-# Parsing, render and eval_term recurse over a term; this bound keeps them
-# far below the interpreter's recursion limit (the parser uses at most three
-# frames per level).
+# render and eval_term recurse over a term; this bound keeps them far below
+# the interpreter's recursion limit.
 MAX_TERM_DEPTH = 100
 _TOO_DEEP = f"term nests deeper than {MAX_TERM_DEPTH} levels"
+
+_LABEL_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# What waits on parse_term's operator stack besides the binaries: a "(", with
+# the index of its token, and a "~", both below every binary level
+_NOT = (-1, "~", 0)
 
 
 def parse_term(text: str) -> Term:
     """Parse a term no deeper than MAX_TERM_DEPTH, else raise ParseError.
 
     Depth counts negations, binary operators and parentheses along a path.
-    The term's height is found as it is built; a term too high is reported
-    after any syntax error, at the token where it first grew too high: the
-    operand of a run of negations, or the operator that lengthens a chain.
-    """
-    term = _read_term(text)
-    return _walk_term(text) if term is None else term
+    One operator-precedence (shunting-yard) pass: operands wait on `out`,
+    their heights (the nodes on the longest path) on `heights`, and `ops`
+    holds the waiting "(", "~" and binaries, each "(" and binary with its
+    token's index.  A binary first joins the waiting binaries of its level or
+    tighter, so chains associate to the left; a "~" waits until its operand
+    is complete.
 
-
-_LABEL_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-# What waits on _read_term's operator stack besides the binaries of _LEVEL_OF:
-# a "(" and a "~", below every binary level
-_OPEN, _NOT = (-1, "("), (-1, "~")
-_WAITING = {"(": _OPEN, "~": _NOT}
-
-
-def _read_term(text: str) -> Term | None:
-    """parse_term of a well-formed text of at most MAX_TERM_DEPTH tokens; None for any other.
-
-    One operator-precedence (shunting-yard) pass: operands wait on `out`, and
-    `ops` holds the waiting "(", "~" and binaries.  A binary first joins the
-    waiting binaries of its level or tighter, so chains associate to the left;
-    a "~" waits until its operand is complete.  Every node and every step of
-    depth takes a token of its own, so such a text is never too deep.
+    A bad character anywhere is reported first.  The entries of `ops` above
+    its bottom are the depth of the next operand, so a "(" or binary that
+    nests too deep is reported at once.  A term too high is reported after
+    any syntax error, at the token where it first grew too high: the operand
+    of a run of negations, or the operator that lengthens a chain.
     """
     tokens = _TOKEN_RE.findall(text)
-    if len(tokens) > MAX_TERM_DEPTH:
-        return None
-    tokens.append(")")  # closes the "(" that ops starts with
+    tokens.append("")  # the end of the text
     out: list[Term] = []
-    ops = [_OPEN]
+    heights: list[int] = []
+    ops = [(-1, "(", 0)]  # never popped: it stands for the whole text
+    too_high = None  # the index of that token
     operand = True  # whether an operand comes next
-    for tok in tokens:
+    for i, tok in enumerate(tokens):
         if operand:
-            waiting = _WAITING.get(tok)
-            if waiting is not None:
-                ops.append(waiting)
+            if tok == "~":
+                ops.append(_NOT)
                 continue
-            if tok[0] in _LABEL_START:  # such a token is a whole _LABEL
+            if tok == "(":
+                ops.append((-1, "(", i))
+                if len(ops) > MAX_TERM_DEPTH + 1:
+                    raise _term_error(text, tokens, _TOO_DEEP, i + 1)
+                continue
+            if tok[:1] in _LABEL_START:  # such a token is a whole _LABEL
                 out.append(Var(tok))
             elif tok == "0" or tok == "1":
                 out.append(Const(int(tok)))
             else:
-                return None
+                raise _term_error(text, tokens, f"expected a term, found {tok!r}" if tok else _END, i)
+            heights.append(1)
+            start = i  # of the complete operand
         else:
             entry = _LEVEL_OF.get(tok)
-            level = 0 if entry is None else entry[0]  # ")" joins every binary since its "("
-            while ops and ops[-1][0] >= level:
-                op = ops.pop()[1]
-                right = out.pop()
+            level = 0 if entry is None else entry[0]  # ")" and the end join every binary
+            while ops[-1][0] >= level:
+                _, op, at = ops.pop()
+                right, right_height = out.pop(), heights.pop()
                 out[-1] = BinOp(op, out[-1], right)
+                height = heights[-1] if heights[-1] > right_height else right_height
+                heights[-1] = height = height + 1
+                if height > MAX_TERM_DEPTH and too_high is None:
+                    too_high = at
             if entry is not None:
-                ops.append(entry)
+                ops.append((level, entry[1], i))
+                if len(ops) > MAX_TERM_DEPTH + 1:
+                    raise _term_error(text, tokens, _TOO_DEEP, i + 1)
                 operand = True
                 continue
-            if tok != ")" or not ops or ops.pop() is not _OPEN:
-                return None
-        while ops and ops[-1] is _NOT:  # their operand is complete
+            if len(ops) == 1:  # no "(" waits
+                if tok:
+                    raise _term_error(text, tokens, f"trailing input {tok!r}", i)
+                break
+            if tok != ")":
+                raise _term_error(text, tokens, f"expected ')', found {tok!r}" if tok else _END, i)
+            start = ops.pop()[2]
+        while ops[-1] is _NOT:  # their operand, from token start on, is complete
             ops.pop()
             out[-1] = Neg(out[-1])
+            heights[-1] += 1
+            if heights[-1] > MAX_TERM_DEPTH and too_high is None:
+                too_high = start
         operand = False
-    return None if ops else out[0]
+    if too_high is not None:
+        raise _term_error(text, tokens, _TOO_DEEP, too_high)
+    return out[0]
 
 
-def _walk_term(text: str) -> Term:
-    """parse_term by the token walk, which reads every text and places every error."""
-    cur = _Cursor(text)
-    cur.too_high = None  # index of that token
-    term, height = _parse_binary(cur, 0, 0)
-    cur.done()
-    if height > MAX_TERM_DEPTH:
-        raise ParseError(_TOO_DEEP, _token_start(text, cur.too_high))
-    return term
-
-
-def _parse_binary(cur: _Cursor, min_level: int, depth: int) -> tuple[Term, int]:
-    """Precedence climbing over the binaries at min_level or tighter, left-associative.
-
-    Each _parse_* returns the term and its height, the nodes on its longest path.
-    """
-    if depth > MAX_TERM_DEPTH:
-        raise ParseError(_TOO_DEEP, cur.here())
-    left, height = _parse_unary(cur, depth)
-    while (entry := _LEVEL_OF.get(cur.peek())) is not None and entry[0] >= min_level:
-        level, op = entry
-        at = cur.pos
-        cur.next()
-        right, right_height = _parse_binary(cur, level + 1, depth + 1)
-        left = BinOp(op, left, right)
-        height = (height if height > right_height else right_height) + 1
-        if height > MAX_TERM_DEPTH and cur.too_high is None:
-            cur.too_high = at
-    return left, height
-
-
-def _parse_unary(cur: _Cursor, depth: int) -> tuple[Term, int]:
-    negations = 0
-    while cur.peek() == "~":
-        cur.next()
-        negations += 1
-    if not negations:
-        return _parse_atom(cur, depth)
-    at = cur.pos
-    term, height = _parse_atom(cur, depth + negations)
-    for _ in range(negations):
-        term = Neg(term)
-    height += negations
-    if height > MAX_TERM_DEPTH and cur.too_high is None:
-        cur.too_high = at
-    return term, height
-
-
-def _parse_atom(cur: _Cursor, depth: int) -> tuple[Term, int]:
-    tok = cur.next()
-    if tok == "(":
-        inner = _parse_binary(cur, 0, depth + 1)
-        cur.expect(")")
-        return inner
-    if tok in ("0", "1"):
-        return Const(int(tok)), 1
-    if _IDENT_RE.match(tok):
-        return Var(tok), 1
-    raise cur.error(f"expected a term, found {tok!r}")
+def _term_error(text: str, tokens: list[str], message: str, index: int) -> ParseError:
+    """The ParseError of a term at token index; a bad character in text raises first."""
+    _check_characters(text, tokens)
+    return ParseError(message, _token_start(text, index))
 
 
 _fraction = lru_cache(maxsize=1024)(Fraction)  # eval_term's root values recur; immutable

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import operator
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping
 
 from .algebra import (
     AlgebraMismatchError,

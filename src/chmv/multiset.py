@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
 
 INF = float("inf")  # str(INF) == "inf", the DSL spelling, so multiplicities render with str
 

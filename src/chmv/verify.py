@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from . import algebra as alg
 from . import duality as dual

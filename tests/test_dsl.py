@@ -18,13 +18,17 @@ from chmv.dsl import (
     MAX_TERM_DEPTH,
     Neg,
     ParseError,
+    Term,
     UnboundVariableError,
     Var,
+    _Cursor,
+    _IDENT_RE,
+    _LEVEL_OF,
     _TOKEN_RE,
-    _read_term,
+    _TOO_DEEP,
+    _token_start,
     _walk_algebra,
     _walk_multiset,
-    _walk_term,
     eval_term,
     parse_algebra,
     parse_env,
@@ -203,6 +207,10 @@ TOO_DEEP = "term nests deeper than 100 levels"
         pytest.param(parse_term, "x (+) " + "~" * 99 + "x", TOO_DEEP, 2, id="operator-too-deep"),
         pytest.param(parse_term, "~" * 100 + "x )", "trailing input ')'", 102,
                      id="syntax-error-before-depth"),
+        pytest.param(parse_term, "x" + " -> x" * 150 + " )", "trailing input ')'", 752,
+                     id="syntax-error-before-height"),
+        pytest.param(parse_term, "(" * 101 + "x #", "unexpected character '#'", 103,
+                     id="bad-character-before-depth"),
     ],
 )
 def test_labelled_parse_errors_keep_message_and_position(parse, text, message, position):
@@ -301,6 +309,71 @@ def test_parsers_return_what_the_token_walk_returns(drawn):
         assert _outcome(parse_multiset, text) == _outcome(_walk_multiset, text)
 
 
+# The recursive token walk over terms: the reference reader that parse_term is
+# held to
+
+
+def _walk_term(text: str) -> Term:
+    """parse_term by the token walk, which reads every text and places every error."""
+    cur = _Cursor(text)
+    cur.too_high = None  # index of that token
+    term, height = _parse_binary(cur, 0, 0)
+    cur.done()
+    if height > MAX_TERM_DEPTH:
+        raise ParseError(_TOO_DEEP, _token_start(text, cur.too_high))
+    return term
+
+
+def _parse_binary(cur: _Cursor, min_level: int, depth: int) -> tuple[Term, int]:
+    """Precedence climbing over the binaries at min_level or tighter, left-associative.
+
+    Each _parse_* returns the term and its height, the nodes on its longest path.
+    """
+    if depth > MAX_TERM_DEPTH:
+        raise ParseError(_TOO_DEEP, cur.here())
+    left, height = _parse_unary(cur, depth)
+    while (entry := _LEVEL_OF.get(cur.peek())) is not None and entry[0] >= min_level:
+        level, op = entry
+        at = cur.pos
+        cur.next()
+        right, right_height = _parse_binary(cur, level + 1, depth + 1)
+        left = BinOp(op, left, right)
+        height = (height if height > right_height else right_height) + 1
+        if height > MAX_TERM_DEPTH and cur.too_high is None:
+            cur.too_high = at
+    return left, height
+
+
+def _parse_unary(cur: _Cursor, depth: int) -> tuple[Term, int]:
+    negations = 0
+    while cur.peek() == "~":
+        cur.next()
+        negations += 1
+    if not negations:
+        return _parse_atom(cur, depth)
+    at = cur.pos
+    term, height = _parse_atom(cur, depth + negations)
+    for _ in range(negations):
+        term = Neg(term)
+    height += negations
+    if height > MAX_TERM_DEPTH and cur.too_high is None:
+        cur.too_high = at
+    return term, height
+
+
+def _parse_atom(cur: _Cursor, depth: int) -> tuple[Term, int]:
+    tok = cur.next()
+    if tok == "(":
+        inner = _parse_binary(cur, 0, depth + 1)
+        cur.expect(")")
+        return inner
+    if tok in ("0", "1"):
+        return Const(int(tok)), 1
+    if _IDENT_RE.match(tok):
+        return Var(tok), 1
+    raise cur.error(f"expected a term, found {tok!r}")
+
+
 # Pieces that replace one token of a well-formed term: the DSL's pieces, digit
 # runs and stray characters
 TERM_REPLACEMENTS = DSL_PIECES + ["00", "10", "123", "\u0663", "$", "\u00a0", "] x"]
@@ -310,12 +383,18 @@ TERM_REPLACEMENTS = DSL_PIECES + ["00", "10", "123", "\u0663", "$", "\u00a0", "]
 def term_tokens(draw):
     """The tokens of a well-formed term, and the index of one of them.
 
-    Two times in three a shorter term is wrapped in parentheses and a "~" up
-    to 100 or 101 tokens, around the longest text the one-pass reader takes.
+    Three times in four a shorter term grows to 100, 101 or 300 tokens, around
+    and far past the depth limit: wrapped in parentheses and a "~", it nests
+    as deep as it is long; joined with more terms in parentheses, it stays
+    far less deep than long.
     """
     tokens = _TOKEN_RE.findall(render(draw(terms)))
-    size = draw(st.sampled_from([0, MAX_TERM_DEPTH, MAX_TERM_DEPTH + 1]))
-    if len(tokens) < size:
+    size = draw(st.sampled_from([0, MAX_TERM_DEPTH, MAX_TERM_DEPTH + 1, 3 * MAX_TERM_DEPTH]))
+    if draw(st.booleans()):
+        while len(tokens) < size:
+            tokens += [draw(st.sampled_from(list(_LEVEL_OF))), "(",
+                       *_TOKEN_RE.findall(render(draw(terms))), ")"]
+    elif len(tokens) < size:
         pairs, odd = divmod(size - len(tokens), 2)
         tokens = ["~"] * odd + ["("] * pairs + tokens + [")"] * pairs
     return tokens, draw(st.integers(0, len(tokens) - 1))
@@ -326,13 +405,10 @@ def term_tokens(draw):
 def test_term_reader_returns_what_the_token_walk_returns(drawn):
     """On a well-formed term, and on it with the drawn token replaced by each of
     TERM_REPLACEMENTS, parse_term and the walk give the same term, or the same
-    error at the same place; the one-pass reader takes every well-formed text
-    of at most MAX_TERM_DEPTH tokens."""
+    error at the same place."""
     tokens, at = drawn
-    text = " ".join(tokens)
-    assert (_read_term(text) is None) == (len(tokens) > MAX_TERM_DEPTH)
-    texts = [text] + [" ".join(tokens[:at] + [piece] + tokens[at + 1:])
-                      for piece in TERM_REPLACEMENTS]
+    texts = [" ".join(tokens)] + [" ".join(tokens[:at] + [piece] + tokens[at + 1:])
+                                  for piece in TERM_REPLACEMENTS]
     for text in texts:
         assert _outcome(parse_term, text) == _outcome(_walk_term, text)
 
