@@ -28,6 +28,7 @@ import itertools
 import math
 import operator
 import re
+import types
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -354,9 +355,15 @@ def parse_env(text: str, A: ProductAlgebra) -> dict[str, Element]:
 # --- terms ------------------------------------------------------------------
 
 class Term:
-    """Abstract syntax of an MV term."""
+    """Abstract syntax of an MV term.
 
-    __slots__ = ()
+    The nodes are frozen dataclasses.  The _program slot is no field: eval_term
+    sets it on the root it evaluates (False after the first evaluation, then
+    the compiled program, or True if the term does not compile), and it takes
+    no part in equality, hashing, repr, copies or pickles.
+    """
+
+    __slots__ = ("_program",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -486,7 +493,7 @@ _fraction = lru_cache(maxsize=1024)(Fraction)  # eval_term's root values recur; 
 
 
 def eval_term(t: Term, env: dict[str, Element], A: ProductAlgebra) -> Element:
-    """Evaluate by structural recursion on integer numerators.
+    """Evaluate on integer numerators: interpret t the first time, then compile it.
 
     Coordinate k gets one denominator D_k: n - 1 when factor k is L_n, and
     the lcm of the denominators at k of the bindings in env that live in A
@@ -499,6 +506,13 @@ def eval_term(t: Term, env: dict[str, Element], A: ProductAlgebra) -> Element:
     compares integers, so it takes numerators over D_k to one over D_k.
     Fractions are built at the root.  The leftmost variable that is unbound,
     or bound outside A, raises.
+
+    The first evaluation of a Term object walks it by structural recursion.
+    The second compiles it (_compile) into one loop over the coordinates that
+    runs the same kernels, and that and every later evaluation run the
+    compiled program over the same numerators; its variables are checked
+    first, leftmost first, so it raises what the walk raises.  A term with an
+    operation outside MV_KERNELS, or a node of another class, is always walked.
     """
     bound = {x: e.coords for x, e in env.items() if e.algebra is A or e.algebra == A}
     dens = tuple([
@@ -507,6 +521,20 @@ def eval_term(t: Term, env: dict[str, Element], A: ProductAlgebra) -> Element:
     ])
     nums = {x: tuple([v.numerator * (d // v.denominator) for v, d in zip(c, dens)])
             for x, c in bound.items()}
+
+    program = getattr(t, "_program", None)
+    if program is False:  # the second evaluation compiles t
+        program = _compile(t)
+        object.__setattr__(t, "_program", program or True)
+    elif program is None and isinstance(t, Term):  # the first walks it
+        object.__setattr__(t, "_program", False)
+    if type(program) is tuple:
+        names, run = program
+        try:
+            columns = [nums[x] for x in names]
+        except KeyError as exc:
+            raise _binding_error(exc.args[0], env) from None
+        return _trusted_element(A, tuple(map(_fraction, run(dens, *columns), dens)))
 
     def numerators(t: Term) -> Iterable[int]:
         """t's numerators over dens, one per coordinate, as a tuple or a lazy map."""
@@ -520,9 +548,7 @@ def eval_term(t: Term, env: dict[str, Element], A: ProductAlgebra) -> Element:
         if kind is Var:
             if t.name in nums:
                 return nums[t.name]
-            if t.name not in env:
-                raise UnboundVariableError(f"variable {t.name!r} is not bound")
-            raise AlgebraError(f"binding for {t.name!r} lives in a different algebra")
+            raise _binding_error(t.name, env)
         if kind is Neg:
             return map(operator.sub, dens, numerators(t.arg))
         if kind is Const:
@@ -530,6 +556,84 @@ def eval_term(t: Term, env: dict[str, Element], A: ProductAlgebra) -> Element:
         raise TypeError(f"not a term: {t!r}")
 
     return _trusted_element(A, tuple(map(_fraction, numerators(t), dens)))
+
+
+def _binding_error(name: str, env: dict[str, Element]) -> ValueError:
+    """The error of a variable of the term that has no binding in the algebra."""
+    if name not in env:
+        return UnboundVariableError(f"variable {name!r} is not bound")
+    return AlgebraError(f"binding for {name!r} lives in a different algebra")
+
+
+# The only names a compiled program reads besides its own; never written to.
+_PROGRAM_GLOBALS = {"__builtins__": {"zip": zip},
+                    **{f"k_{op}": kernel for op, kernel in MV_KERNELS.items()}}
+
+
+class _NotCompiled(Exception):
+    pass
+
+
+def _compile(t: Term) -> tuple[tuple[str, ...], Callable[..., list[int]]] | None:
+    """t's variables, in order of first occurrence, and a program for its numerators.
+
+    For `~x (+) y` the program is
+
+        def program(dens, c0, c1):
+            out = []
+            for d, v0, v1 in zip(dens, c0, c1):
+                t0 = d - v0
+                t0 = k_oplus(t0, v1, d)
+                out.append(t0)
+            return out
+
+    where c0 and c1 hold the numerators of x and y.  The source holds only
+    these fixed names, never a variable of the term.  A node whose value is
+    still needed keeps its temporary, so a term needs no more temporaries
+    than it is deep.  None if t does not compile: it is then always walked,
+    which raises its error in its place.
+    """
+    names: dict[str, int] = {}
+    lines: list[str] = []
+
+    def emit(t: Term, free: int) -> str:
+        """Append the statements for t, using temporaries from t{free} on; its value's name."""
+        kind = type(t)
+        if kind is BinOp:
+            if type(t.op) is not str or t.op not in MV_KERNELS:
+                raise _NotCompiled
+            left = emit(t.left, free)
+            right = emit(t.right, free + 1)
+            lines.append(f"t{free} = k_{t.op}({left}, {right}, d)")
+        elif kind is Var:
+            if type(t.name) is not str:
+                raise _NotCompiled
+            return f"v{names.setdefault(t.name, len(names))}"
+        elif kind is Neg:
+            lines.append(f"t{free} = d - {emit(t.arg, free)}")
+        elif kind is Const:
+            return "d" if t.value else "0"
+        else:
+            raise _NotCompiled
+        return f"t{free}"
+
+    try:
+        value = emit(t, 0)
+    except _NotCompiled:
+        return None
+    columns = [f"c{i}" for i in range(len(names))]
+    loop = f"zip(dens, {', '.join(columns)})" if columns else "dens"
+    source = "\n".join([
+        f"def program({', '.join(['dens'] + columns)}):",
+        "    out = []",
+        f"    for {', '.join(['d'] + [f'v{i}' for i in range(len(names))])} in {loop}:",
+        *[f"        {line}" for line in lines],
+        f"        out.append({value})",
+        "    return out",
+    ])
+    code = next(c for c in compile(source, "<term>", "exec").co_consts
+                if isinstance(c, types.CodeType))
+    return tuple(names), types.FunctionType(code, _PROGRAM_GLOBALS)
 
 
 # --- rendering ----------------------------------------------------------------

@@ -2,8 +2,11 @@ import ast
 import copy
 import dataclasses
 import itertools
+import os
 import pickle
 import re
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -414,13 +417,20 @@ def test_term_reader_returns_what_the_token_walk_returns(drawn):
 
 
 def test_terms_survive_copies_and_refuse_assignment():
-    t = parse_term("~x (+) 1")
-    for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
-        assert clone == t and hash(clone) == hash(t)
-    for node, field in [(t, "op"), (t.left, "arg"), (t.left.arg, "name"), (t.right, "value")]:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(node, field, getattr(node, field))
-        assert not hasattr(node, "__dict__")
+    """Also once evaluated twice, when the root holds its compiled program."""
+    A = parse_algebra("L3")
+    compiled = parse_term("~x (+) 1")
+    for _ in range(2):
+        eval_term(compiled, {"x": unit(A)}, A)
+    assert type(compiled._program) is tuple  # (its variables, its program)
+    for t in (parse_term("~x (+) 1"), compiled):
+        assert t == compiled and hash(t) == hash(compiled) and repr(t) == repr(compiled)
+        for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert clone == t and hash(clone) == hash(t)
+        for node, field in [(t, "op"), (t.left, "arg"), (t.left.arg, "name"), (t.right, "value")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, field, getattr(node, field))
+            assert not hasattr(node, "__dict__")
 
 
 def test_parse_term_tautology_shape():
@@ -553,6 +563,24 @@ REF_OPS = {
 }
 
 
+def eval_thrice(t, env, A):
+    """eval_term(t, env, A) three times: the first call walks t, the second
+    compiles it and the third runs the compiled program.  All three give equal
+    Elements, or raise the same type with the same message; the last outcome
+    is returned or raised."""
+    outcomes = []
+    for _ in range(3):
+        try:
+            outcomes.append(eval_term(t, env, A))
+        except Exception as exc:
+            outcomes.append(exc)
+    seen = [(type(o), str(o)) if isinstance(o, Exception) else o for o in outcomes]
+    assert seen[0] == seen[1] == seen[2]
+    if isinstance(outcomes[-1], Exception):
+        raise outcomes[-1]
+    return outcomes[-1]
+
+
 def ref_eval(t, env, i):
     """The value of t at coordinate i, straight from the definitions."""
     if isinstance(t, Const):
@@ -587,7 +615,7 @@ def algebras_with_bindings(draw):
 @given(terms, algebras_with_bindings())
 def test_eval_term_matches_a_per_coordinate_reference(t, bound):
     A, env = bound
-    value = eval_term(t, env, A)
+    value = eval_thrice(t, env, A)
     assert value.algebra == A
     assert value.coords == tuple(ref_eval(t, env, i) for i in range(len(A.factors)))
 
@@ -599,7 +627,7 @@ def test_eval_term_reads_bindings_whose_denominators_divide_the_grid_step():
            "y": make_element(A, [Fraction(1, 3), Fraction(2, 7)])}
     for text in ["x (+) y", "x (.) ~y", "~x -> y", "x /\\ ~y", "x \\/ y (.) ~x", "~(x (+) y) (+) 1"]:
         t = parse_term(text)
-        assert eval_term(t, env, A).coords == tuple(ref_eval(t, env, i) for i in range(2)), text
+        assert eval_thrice(t, env, A).coords == tuple(ref_eval(t, env, i) for i in range(2)), text
 
 
 LEFTMOST_OFFENDERS = [
@@ -617,7 +645,7 @@ def test_eval_error_comes_from_the_leftmost_offending_variable(text, error, mess
     A, B = parse_algebra("L3 * L2"), parse_algebra("L3")
     env = {"x": unit(A), "b": unit(B)}  # u and v are unbound, b lives in B
     with pytest.raises(ValueError) as info:
-        eval_term(parse_term(text), env, A)
+        eval_thrice(parse_term(text), env, A)
     assert type(info.value) is error
     assert str(info.value) == message
 
@@ -633,7 +661,7 @@ def test_eval_error_ignores_unreferenced_bindings(text, error, message):
         "a": make_element(A, [Fraction(1, 2), 0]),
     }
     with pytest.raises(ValueError) as info:
-        eval_term(parse_term(text), env, A)
+        eval_thrice(parse_term(text), env, A)
     assert type(info.value) is error
     assert str(info.value) == message
 
@@ -648,7 +676,7 @@ def test_eval_term_ignores_an_unreferenced_binding_from_another_algebra(t, bound
     A, env = bound
     other = make_algebra((f"x{i + 1}", LINF) for i in range(len(A.factors) + extra))
     wider = {"w": make_element(other, [v] * len(other.factors)), **env}
-    assert eval_term(t, wider, A) == eval_term(t, env, A)
+    assert eval_thrice(t, wider, A) == eval_thrice(t, env, A)
 
 
 def test_eval_term_on_huge_denominators_matches_the_fraction_reference():
@@ -670,10 +698,79 @@ def test_eval_term_on_huge_denominators_matches_the_fraction_reference():
     ]
     for text in texts:
         t = parse_term(text)
-        start = time.perf_counter()
-        value = eval_term(t, env, A)
-        assert time.perf_counter() - start < 1
-        assert value.coords == tuple(ref_eval(t, env, i) for i in range(2)), text
+        want = tuple(ref_eval(t, env, i) for i in range(2))
+        for _ in range(3):  # walked, compiled, run again
+            start = time.perf_counter()
+            value = eval_term(t, env, A)
+            assert time.perf_counter() - start < 1
+            assert value.coords == want, text
+
+
+@pytest.mark.parametrize("text", [
+    "1",
+    "~0 (+) 0",  # no variable: the program loops over the denominators alone
+    "if (+) None",  # Python keywords are DSL labels, and never reach the program's source
+    "lambda -> class",
+    "~(if (.) lambda) \\/ (None /\\ ~class) -> if",
+])
+def test_eval_term_gives_the_reference_on_every_evaluation(text):
+    A = parse_algebra("L5 * Linf")
+    env = {name: make_element(A, [Fraction(k, 4), Fraction(k, 7)])
+           for k, name in enumerate(["if", "None", "lambda", "class"])}
+    t = parse_term(text)
+    assert eval_thrice(t, env, A).coords == tuple(ref_eval(t, env, i) for i in range(2))
+
+
+@pytest.mark.parametrize("t, error, message", [
+    (BinOp("xor", Var("x"), Var("y")), AlgebraError, "unknown operation 'xor'"),
+    (BinOp("xor", Var("x"), Var("u")), UnboundVariableError, "variable 'u' is not bound"),
+    (BinOp("oplus", BinOp("xor", Var("x"), Var("y")), Var("u")),
+     AlgebraError, "unknown operation 'xor'"),
+    (Neg(BinOp("meet", Var("x"), "y")), TypeError, "not a term: 'y'"),
+])
+def test_a_term_that_does_not_compile_raises_on_every_evaluation(t, error, message):
+    A = parse_algebra("L3 * L2")
+    with pytest.raises(error) as info:
+        eval_thrice(t, {"x": unit(A), "y": unit(A)}, A)
+    assert str(info.value) == message
+
+
+def test_threads_evaluating_one_fresh_term_get_the_walks_value():
+    """More threads than cores race through the first, second and later
+    evaluations of each of a series of fresh terms, with the interpreter
+    switching threads as often as it can."""
+    A = parse_algebra("L7 * Linf * L4")
+    env = {"x": make_element(A, [Fraction(1, 3), Fraction(2, 7), Fraction(1, 3)]),
+           "y": make_element(A, [Fraction(5, 6), Fraction(1, 2), Fraction(2, 3)])}
+    text = "(x -> ~y) (+) (y (.) x) \\/ ~(x /\\ y) (.) ~~x"
+    want = eval_term(parse_term(text), env, A)  # a fresh term's first evaluation walks it
+    workers = min(2 * (os.cpu_count() or 1) + 1, 16)
+    outcomes = []
+
+    def evaluate(t, barrier):
+        barrier.wait(timeout=10)
+        for _ in range(4):
+            try:
+                outcomes.append(eval_term(t, env, A))
+            except Exception as exc:
+                outcomes.append(exc)
+
+    rounds, deadline = 0, time.perf_counter() + 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        while rounds < 50 and time.perf_counter() < deadline:
+            t, barrier = parse_term(text), threading.Barrier(workers)
+            threads = [threading.Thread(target=evaluate, args=(t, barrier)) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            rounds += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(outcomes) == 4 * workers * rounds
+    assert all(outcome == want for outcome in outcomes)
 
 
 def test_render_algebra():
