@@ -146,8 +146,9 @@ class _Listing:
     """The maps of list mode, `[{key: dict(zip(labels, pick))} for pick in product(*choices)]`.
 
     _dumps writes it without building those dicts: every entry has the same
-    labels in the same order, so each `"label": "choice"` piece is quoted once
-    and each map is one join of its picked pieces.
+    labels in the same order, so each `"label": "choice"` piece is quoted once,
+    the pieces after the first label's are joined once per pick of them, and
+    the maps that share a first piece are written by one join of those suffixes.
     """
 
     __slots__ = ("key", "labels", "choices")
@@ -162,16 +163,18 @@ class _Listing:
         if not self.labels:  # one map, the empty one
             out.append("[" + entry + head + "{}" + entry + "}" + pad + "]")
             return
-        pieces = [
-            [f"{_quote(label)}: {_quote(c)}" for c in cs]
-            for label, cs in zip(self.labels, self.choices)
+        first, *rest = [
+            [f"{',' + innermost if i else ''}{_quote(label)}: {_quote(c)}" for c in cs]
+            for i, (label, cs) in enumerate(zip(self.labels, self.choices))
         ]
-        maps = [("," + innermost).join(pick) for pick in itertools.product(*pieces)]
-        if not maps:
+        suffixes = ["".join(pick) for pick in itertools.product(*rest)]
+        if not (first and suffixes):
             out.append("[]")
             return
         start, end = head + "{" + innermost, inner + "}" + entry + "}"  # around each map's pieces
-        out += ("[" + entry + start, (end + "," + entry + start).join(maps), end + pad + "]")
+        between = end + "," + entry + start
+        maps = between.join([p + (between + p).join(suffixes) for p in first])
+        out += ("[" + entry + start, maps, end + pad + "]")
 
 
 def _dumps(obj, pad: str = "\n") -> str:

@@ -10,12 +10,9 @@ sum, "(.)" the dual product, "/\\" meet, "\\/" join, "->" implication;
 precedence from tightest to loosest is ~, (.), (+), /\\, \\/, ->, all
 binaries left-associative.
 
-Algebras and multisets have two readers each.  A well-formed one whose
-numbers are ASCII, without a leading zero and at most _FAST_DIGITS digits
-long, is read by one fullmatch and one findall of a compiled pattern; every
-other text goes to the token walk (_Cursor), which raises every ParseError
-about an object.  Terms have one reader, parse_term: one operator-precedence
-pass over the tokens, which also places every ParseError about a term.
+Objects and terms have one reader each: one pass over the text's tokens,
+which reads a text of any length and places every ParseError.  _read reads
+algebras and multisets; parse_term, an operator-precedence pass, reads terms.
 
 A ParseError carries the character offset of the offending token in the
 input text.  The readers hold the tokens as plain strings, so the offset is
@@ -35,8 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import AlgebraError, Element, ProductAlgebra, _trusted_element, make_algebra
-from .chain import MV_KERNELS, ChainError, ChainSize, LINF
-from .multiset import EMultiset, INF, MultisetError, Mult
+from .chain import MV_KERNELS, ChainSize, LINF
+from .multiset import EMultiset, INF, Mult
 
 
 class ParseError(ValueError):
@@ -51,10 +48,12 @@ class UnboundVariableError(ValueError):
     pass
 
 
-# The lexical fragments, each written once: the tokenizer, the label and chain
-# checks and the fast patterns below are all compiled from them.
+# The lexical fragments, each written once: the tokenizer and the coordinate
+# pattern are compiled from them.  A token that starts with one of _LABEL_START
+# is a whole _LABEL.
 _LABEL = r"[A-Za-z_][A-Za-z_0-9]*"
 _DIGIT = "[0-9]"  # ASCII only: \d also reads other scripts' digits
+_LABEL_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 _TOKEN_RE = re.compile(r"\(\+\)|\(\.\)|/\\|\\/|->|[~()\[\]{}:,*]|" + _LABEL + r"|\d+|\S")
 _END = "unexpected end of input"
@@ -68,52 +67,11 @@ def _token_start(text: str, index: int) -> int:
 
 def _check_characters(text: str, tokens: list[str]) -> None:
     """Raise ParseError at the first token of text that is no character of the DSL."""
-    for t in tokens:
+    for t in dict.fromkeys(tokens):  # each token once, in the order it first occurs
         if len(t) == 1 and not (t.isalnum() or t in "~()[]{}:,*_"):
             index = tokens.index(t)  # the first bad token: equal tokens are equally bad
             raise ParseError(f"unexpected character {t!r}", _token_start(text, index))
 
-
-class _Cursor:
-    """An object text's tokens as plain strings; a position is computed only for an error."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _TOKEN_RE.findall(text)
-        self.pos = 0
-        _check_characters(text, self.tokens)
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def here(self) -> int:
-        """The position of the next token."""
-        return _token_start(self.text, self.pos)
-
-    def error(self, message: str) -> ParseError:
-        """A ParseError at the token just read."""
-        return ParseError(message, _token_start(self.text, self.pos - 1))
-
-    def next(self) -> str:
-        try:
-            tok = self.tokens[self.pos]
-        except IndexError:
-            raise ParseError(_END, len(self.text)) from None
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> None:
-        tok = self.next()
-        if tok != text:
-            raise self.error(f"expected {text!r}, found {tok!r}")
-
-    def done(self) -> None:
-        if self.pos < len(self.tokens):
-            raise ParseError(f"trailing input {self.tokens[self.pos]!r}", self.here())
-
-
-_IDENT_RE = re.compile(_LABEL + r"\Z")
-_CHAIN_RE = re.compile(rf"L({_DIGIT}+)\Z")
 
 # Python reads and prints integers below 10^4300 (the default of
 # sys.set_int_max_str_digits); cli's eval and homs refuse larger results too.
@@ -131,9 +89,8 @@ TOO_LONG = f"numerator or denominator longer than {MAX_DIGITS} digits"
 def _below(digits: str, bound: int, error: Callable[[str], Exception], message: str) -> int:
     """The value of a run of ASCII digits below bound; else raises error(message).
 
-    Chain sizes, multiplicities and coordinates read their numbers here (the
-    fast patterns take only short unpadded ones).  Leading zeros are dropped
-    first, as int() counts them against its limit.
+    Chain sizes, multiplicities and coordinates read their numbers here.
+    Leading zeros are dropped first, as int() counts them against its limit.
     """
     digits = digits.lstrip("0") or "0"
     value = int(digits) if len(digits) <= MAX_DIGITS else bound
@@ -142,52 +99,88 @@ def _below(digits: str, bound: int, error: Callable[[str], Exception], message: 
     return value
 
 
-def _parse_chain_size(cur: _Cursor) -> ChainSize:
-    tok = cur.next()
+# The value readers of _read: each takes one token, and raises ValueError if
+# it is none.  Their values are immutable, so they are cached per token.
+@lru_cache(maxsize=1024)
+def _chain(tok: str) -> ChainSize:
     if tok == "Linf":
         return LINF
-    m = _CHAIN_RE.match(tok)
-    if not m:
-        raise cur.error(f"expected a chain like L3 or Linf, found {tok!r}")
-    n = _below(m.group(1), DIGITS_BOUND, cur.error, _CHAIN_LIMIT)
-    try:
-        return ChainSize(n)
-    except ChainError as exc:
-        raise cur.error(str(exc)) from None
+    digits = tok[1:]
+    if tok[:1] != "L" or not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"expected a chain like L3 or Linf, found {tok!r}")
+    return ChainSize(_below(digits, DIGITS_BOUND, ValueError, _CHAIN_LIMIT))
 
 
-def _parse_mult(cur: _Cursor) -> Mult:
-    tok = cur.next()
+@lru_cache(maxsize=1024)
+def _mult(tok: str) -> Mult:
     if tok == "inf":
         return INF
     if not (tok.isascii() and tok.isdecimal()):  # \d+ also reads other scripts' digits
-        raise cur.error(f"expected a multiplicity or 'inf', found {tok!r}")
-    m = _below(tok, DIGITS_BOUND - 1, cur.error, _MULT_LIMIT)
+        raise ValueError(f"expected a multiplicity or 'inf', found {tok!r}")
+    m = _below(tok, DIGITS_BOUND - 1, ValueError, _MULT_LIMIT)
     if m < 1:
-        raise cur.error("multiplicity must be at least 1")
+        raise ValueError("multiplicity must be at least 1")
     return m
 
 
-def _labelled(cur: _Cursor, open: str, close: str, value) -> tuple[tuple[str, object], ...]:
-    """The whole input as `open label: value, ... close`; value reads one token.
+def _read(text: str, value: Callable[[str], object], brackets: str, build: Callable,
+          product: bool = False) -> ProductAlgebra | EMultiset:
+    """build(the entries of text), read in one pass over its tokens.
 
-    So label i is token 1 + 4i, which _repeated_label reads back.
+    The text is `open label: v, ... close`, with open and close the two
+    brackets, or, if product and it does not start with open, `v * v * ...`,
+    labelled x1, x2, ...; value, a reader under lru_cache, reads the token of
+    each v, past its cache in a text over 100 characters.  An error is
+    raised at the token being read, as "unexpected end of input" at the end,
+    after any bad character of text.  A text read to its end holds none:
+    each of its tokens was read as a label, a value or a bracket, ":", ","
+    or "*".  A label that repeats an earlier one is reported at its position.
     """
-    cur.expect(open)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # the end of the text
+    open, close = brackets
+    if len(text) > 100:  # a full cache keeps no token longer than 100 characters
+        value = value.__wrapped__
     entries = []
-    if cur.peek() != close:
-        while True:
-            label = cur.next()
-            if not _IDENT_RE.match(label):
-                raise cur.error(f"expected a label, found {label!r}")
-            cur.expect(":")
-            entries.append((label, value(cur)))
-            if cur.peek() != ",":
-                break
-            cur.next()
-    cur.expect(close)
-    cur.done()
-    return tuple(entries)
+    i = 0  # the token being read
+    try:
+        if product and tokens[0] != open:
+            while True:
+                entries.append((f"x{len(entries) + 1}", value(tokens[i])))
+                i += 1
+                if tokens[i] != "*":
+                    break
+                i += 1
+        else:
+            if tokens[0] != open:
+                raise ValueError(f"expected {open!r}, found {tokens[0]!r}")
+            i = 1
+            if tokens[1] != close:
+                while True:
+                    label = tokens[i]
+                    if label[:1] not in _LABEL_START:
+                        raise ValueError(f"expected a label, found {label!r}")
+                    i += 1
+                    if tokens[i] != ":":
+                        raise ValueError(f"expected ':', found {tokens[i]!r}")
+                    i += 1
+                    entries.append((label, value(tokens[i])))
+                    i += 1
+                    if tokens[i] != ",":
+                        break
+                    i += 1
+            if tokens[i] != close:
+                raise ValueError(f"expected {close!r}, found {tokens[i]!r}")
+            i += 1
+        if tokens[i]:
+            raise ValueError(f"trailing input {tokens[i]!r}")
+    except ValueError as exc:
+        _check_characters(text, tokens)
+        raise ParseError(str(exc) if tokens[i] else _END, _token_start(text, i)) from None
+    try:
+        return build(tuple(entries))
+    except ValueError as exc:  # a repeated label
+        raise ParseError(str(exc), _repeated_label(text, entries)) from None
 
 
 def _repeated_label(text: str, entries) -> int:
@@ -200,83 +193,14 @@ def _repeated_label(text: str, entries) -> int:
     return 0
 
 
-# The fast patterns take the well-formed texts whose numbers have no leading
-# zero and at most _FAST_DIGITS digits, far below MAX_DIGITS; a chain is
-# never L0 or L1 and a multiplicity never 0.  \s is what _TOKEN_RE skips.
-# Each object's fullmatch checks its whole text; the findall of its entry
-# pattern then reads the entries, with one group per label and per number.
-_FAST_DIGITS = 100
-_FAST_NUMBER = rf"[1-9]{_DIGIT}{{0,{_FAST_DIGITS - 1}}}"
-_FAST_CHAIN = rf"L(inf|[1-9]{_DIGIT}{{1,{_FAST_DIGITS - 1}}}|[2-9])"
-_FAST_FACTOR = rf"({_LABEL})\s*:\s*{_FAST_CHAIN}"
-_FAST_POINT = rf"({_LABEL})\s*:\s*(inf|{_FAST_NUMBER})"
-
-
-def _items(entry: str, sep: str) -> str:
-    return rf"{entry}(?:\s*{sep}\s*{entry})*"
-
-
-_fast_product = re.compile(rf"\s*{_items(_FAST_CHAIN, '[*]')}\s*").fullmatch
-_fast_factors = re.compile(rf"\s*\[\s*(?:{_items(_FAST_FACTOR, ',')})?\s*\]\s*").fullmatch
-_fast_points = re.compile(rf"\s*\{{\s*(?:{_items(_FAST_POINT, ',')})?\s*\}}\s*").fullmatch
-_chain_entries = re.compile(_FAST_CHAIN).findall
-_factor_entries = re.compile(_FAST_FACTOR).findall
-_point_entries = re.compile(_FAST_POINT).findall
-
-
-@lru_cache(maxsize=1024)  # chain sizes recur, and a ChainSize is immutable
-def _fast_chain(size: str) -> ChainSize:
-    return LINF if size == "inf" else ChainSize(int(size))
-
-
 def parse_algebra(text: str) -> ProductAlgebra:
     """The algebra `L2 * L3` or `[a: L2, b: Linf]`; ParseError if text is neither."""
-    if _fast_product(text):
-        chains = _chain_entries(text)
-        return make_algebra([(f"x{i}", _fast_chain(n)) for i, n in enumerate(chains, 1)])
-    if _fast_factors(text):
-        try:
-            return make_algebra([(label, _fast_chain(n)) for label, n in _factor_entries(text)])
-        except AlgebraError:
-            pass  # a repeated label: the walk reports it at its position
-    return _walk_algebra(text)
+    return _read(text, _chain, "[]", make_algebra, product=True)
 
 
 def parse_multiset(text: str) -> EMultiset:
     """The multiset `{a:2, b:inf}`; ParseError if text is not one."""
-    if _fast_points(text):
-        try:
-            return EMultiset(tuple([(label, INF if m == "inf" else int(m))
-                                    for label, m in _point_entries(text)]))
-        except MultisetError:
-            pass  # a repeated label: the walk reports it at its position
-    return _walk_multiset(text)
-
-
-def _walk_algebra(text: str) -> ProductAlgebra:
-    """parse_algebra by the token walk, which reads every text and places every error."""
-    cur = _Cursor(text)
-    if cur.peek() == "[":
-        factors = _labelled(cur, "[", "]", _parse_chain_size)
-        try:
-            return make_algebra(factors)
-        except AlgebraError as exc:
-            raise ParseError(str(exc), _repeated_label(text, factors)) from None
-    chains = [_parse_chain_size(cur)]
-    while cur.peek() == "*":
-        cur.next()
-        chains.append(_parse_chain_size(cur))
-    cur.done()
-    return make_algebra((f"x{i + 1}", c) for i, c in enumerate(chains))
-
-
-def _walk_multiset(text: str) -> EMultiset:
-    """parse_multiset by the token walk, which reads every text and places every error."""
-    points = _labelled(_Cursor(text), "{", "}", _parse_mult)
-    try:
-        return EMultiset(points)
-    except MultisetError as exc:
-        raise ParseError(str(exc), _repeated_label(text, points)) from None
+    return _read(text, _mult, "{}", EMultiset)
 
 
 def parse_object(text: str) -> ProductAlgebra | EMultiset:
@@ -399,7 +323,6 @@ _PREC = {op: level for level, (op, _) in enumerate(_BINARY_LEVELS)}
 MAX_TERM_DEPTH = 100
 _TOO_DEEP = f"term nests deeper than {MAX_TERM_DEPTH} levels"
 
-_LABEL_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 # What waits on parse_term's operator stack besides the binaries: a "(", with
 # the index of its token, and a "~", both below every binary level
 _NOT = (-1, "~", 0)

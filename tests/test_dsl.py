@@ -13,33 +13,41 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chmv.algebra import AlgebraError, enumerate_elements, make_algebra, make_element, unit
-from chmv.chain import ChainSize, LINF
+from chmv.algebra import (
+    AlgebraError, ProductAlgebra, enumerate_elements, make_algebra, make_element, unit,
+)
+from chmv.chain import ChainError, ChainSize, LINF
 from chmv.dsl import (
     BinOp,
     Const,
+    DIGITS_BOUND,
     MAX_TERM_DEPTH,
     Neg,
     ParseError,
     Term,
     UnboundVariableError,
     Var,
-    _Cursor,
-    _IDENT_RE,
+    _CHAIN_LIMIT,
+    _DIGIT,
+    _END,
+    _LABEL,
     _LEVEL_OF,
+    _MULT_LIMIT,
     _TOKEN_RE,
     _TOO_DEEP,
+    _below,
+    _check_characters,
+    _repeated_label,
     _token_start,
-    _walk_algebra,
-    _walk_multiset,
     eval_term,
     parse_algebra,
     parse_env,
     parse_multiset,
+    parse_object,
     parse_term,
     render,
 )
-from chmv.multiset import EMultiset, INF
+from chmv.multiset import EMultiset, INF, Mult, MultisetError
 
 
 def test_parse_algebra_unlabeled():
@@ -249,15 +257,136 @@ def test_parse_error_positions_point_into_the_text(text):
                 assert err.position == len(text)
 
 
-# Pieces of well-formed objects: numbers up to the fast pattern's 100 digits and
-# one past it, labels that repeat, and every blank the tokenizer skips
+# The token walk over objects and terms: the reference readers that
+# parse_algebra, parse_multiset and parse_term are held to
+
+
+class _Cursor:
+    """An object text's tokens as plain strings; a position is computed only for an error."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        self.pos = 0
+        _check_characters(text, self.tokens)
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def here(self) -> int:
+        """The position of the next token."""
+        return _token_start(self.text, self.pos)
+
+    def error(self, message: str) -> ParseError:
+        """A ParseError at the token just read."""
+        return ParseError(message, _token_start(self.text, self.pos - 1))
+
+    def next(self) -> str:
+        try:
+            tok = self.tokens[self.pos]
+        except IndexError:
+            raise ParseError(_END, len(self.text)) from None
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> None:
+        tok = self.next()
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok!r}")
+
+    def done(self) -> None:
+        if self.pos < len(self.tokens):
+            raise ParseError(f"trailing input {self.tokens[self.pos]!r}", self.here())
+
+
+_IDENT_RE = re.compile(_LABEL + r"\Z")
+_CHAIN_RE = re.compile(rf"L({_DIGIT}+)\Z")
+
+
+def _parse_chain_size(cur: _Cursor) -> ChainSize:
+    tok = cur.next()
+    if tok == "Linf":
+        return LINF
+    m = _CHAIN_RE.match(tok)
+    if not m:
+        raise cur.error(f"expected a chain like L3 or Linf, found {tok!r}")
+    n = _below(m.group(1), DIGITS_BOUND, cur.error, _CHAIN_LIMIT)
+    try:
+        return ChainSize(n)
+    except ChainError as exc:
+        raise cur.error(str(exc)) from None
+
+
+def _parse_mult(cur: _Cursor) -> Mult:
+    tok = cur.next()
+    if tok == "inf":
+        return INF
+    if not (tok.isascii() and tok.isdecimal()):  # \d+ also reads other scripts' digits
+        raise cur.error(f"expected a multiplicity or 'inf', found {tok!r}")
+    m = _below(tok, DIGITS_BOUND - 1, cur.error, _MULT_LIMIT)
+    if m < 1:
+        raise cur.error("multiplicity must be at least 1")
+    return m
+
+
+def _labelled(cur: _Cursor, open: str, close: str, value) -> tuple[tuple[str, object], ...]:
+    """The whole input as `open label: value, ... close`; value reads one token.
+
+    So label i is token 1 + 4i, which _repeated_label reads back.
+    """
+    cur.expect(open)
+    entries = []
+    if cur.peek() != close:
+        while True:
+            label = cur.next()
+            if not _IDENT_RE.match(label):
+                raise cur.error(f"expected a label, found {label!r}")
+            cur.expect(":")
+            entries.append((label, value(cur)))
+            if cur.peek() != ",":
+                break
+            cur.next()
+    cur.expect(close)
+    cur.done()
+    return tuple(entries)
+
+
+def _walk_algebra(text: str) -> ProductAlgebra:
+    """parse_algebra by the token walk, which reads every text and places every error."""
+    cur = _Cursor(text)
+    if cur.peek() == "[":
+        factors = _labelled(cur, "[", "]", _parse_chain_size)
+        try:
+            return make_algebra(factors)
+        except AlgebraError as exc:
+            raise ParseError(str(exc), _repeated_label(text, factors)) from None
+    chains = [_parse_chain_size(cur)]
+    while cur.peek() == "*":
+        cur.next()
+        chains.append(_parse_chain_size(cur))
+    cur.done()
+    return make_algebra((f"x{i + 1}", c) for i, c in enumerate(chains))
+
+
+def _walk_multiset(text: str) -> EMultiset:
+    """parse_multiset by the token walk, which reads every text and places every error."""
+    points = _labelled(_Cursor(text), "{", "}", _parse_mult)
+    try:
+        return EMultiset(points)
+    except MultisetError as exc:
+        raise ParseError(str(exc), _repeated_label(text, points)) from None
+
+
+# Pieces of well-formed objects: numbers up to 101 digits, in texts on both
+# sides of the 100 characters up to which the reader caches values, labels that
+# repeat, and every blank the tokenizer skips
 BLANKS = ["", " ", "\t", "\u00a0"]
 LABELS = ["a", "b", "x1", "_c", "inf", "Linf"]
 CHAINS = ["L2", "L3", "L10", "Linf", "L" + "9" * 100, "L1" + "0" * 100]
 MULTS = ["1", "2", "12", "inf", "9" * 100, "1" + "0" * 100]
-# Pieces the fast pattern must leave to the walk: L0, L1 and multiplicity 0,
-# leading zeros, non-ASCII digits, a non-breaking space (which both readers skip),
-# 4,301 digits and trailing input
+# Pieces at the edges of the grammar: L0, L1 and multiplicity 0, leading zeros,
+# non-ASCII digits, a non-breaking space (which both readers skip), 4,301 digits
+# and trailing input
 ODD_PIECES = ["L0", "L1", "0", "L07", "007", "L1\u0663", "1\u0663", "\u0663", "\u00a0",
               "1" + "0" * 4300, "L1" + "0" * 4300, "] x", "} }"]
 REPLACEMENTS = DSL_PIECES + ODD_PIECES + LABELS
@@ -267,24 +396,34 @@ REPLACEMENTS = DSL_PIECES + ODD_PIECES + LABELS
 def object_pieces(draw):
     """The pieces of a well-formed algebra or multiset, and the index of one piece.
 
-    Half of the time that piece is a label or a value.
+    One time in eight the object has 100 or 300 entries.  Only the first four
+    are drawn piece by piece; entry i from the fifth on is labelled x{i + 1},
+    with single blanks and one short value drawn once.  Half of the time the
+    drawn piece is a label or a value.
     """
     kind = draw(st.sampled_from(["product", "factors", "points"]))
     blank = st.sampled_from(BLANKS)
-    value = st.sampled_from(MULTS if kind == "points" else CHAINS)
+    values = MULTS if kind == "points" else CHAINS
+    value, filler = st.sampled_from(values), draw(st.sampled_from(values[:4]))
+    size = draw(st.integers(0, 4)) if draw(st.integers(0, 7)) else draw(st.sampled_from([100, 300]))
+
+    def pick(strategy, i, later):
+        """A piece of entry i: drawn for the first four entries, later for the others."""
+        return draw(strategy) if i < 4 else later
+
     pieces, entries = [draw(blank)], []  # entries: the index of each label and value
     if kind == "product":
-        for i in range(draw(st.integers(1, 4))):
-            pieces += ["*", draw(blank)] if i else []
+        for i in range(max(size, 1)):
+            pieces += ["*", pick(blank, i, " ")] if i else []
             entries.append(len(pieces))
-            pieces += [draw(value), draw(blank)]
+            pieces += [pick(value, i, filler), pick(blank, i, " ")]
     else:
         pieces += ["[" if kind == "factors" else "{", draw(blank)]
-        for i in range(draw(st.integers(0, 4))):
-            pieces += [",", draw(blank)] if i else []
+        for i in range(size):
+            pieces += [",", pick(blank, i, " ")] if i else []
             entries += [len(pieces), len(pieces) + 4]
-            pieces += [draw(st.sampled_from(LABELS)), draw(blank), ":", draw(blank),
-                       draw(value), draw(blank)]
+            pieces += [pick(st.sampled_from(LABELS), i, f"x{i + 1}"), pick(blank, i, ""), ":",
+                       pick(blank, i, " "), pick(value, i, filler), pick(blank, i, "")]
         pieces += ["]" if kind == "factors" else "}", draw(blank)]
     if entries and draw(st.booleans()):
         return pieces, draw(st.sampled_from(entries))
@@ -302,18 +441,14 @@ def _outcome(parse, text):
 @given(object_pieces())
 def test_parsers_return_what_the_token_walk_returns(drawn):
     """On a well-formed object, and on it with the drawn piece replaced by each of
-    REPLACEMENTS, the fast pattern and the walk give the same object, or the same
-    error at the same place."""
+    REPLACEMENTS, parse_algebra and parse_multiset give what the walk gives: the
+    same object, or the same error at the same place."""
     pieces, at = drawn
     texts = ["".join(pieces)]
     texts += ["".join(pieces[:at] + [piece] + pieces[at + 1:]) for piece in REPLACEMENTS]
     for text in texts:
         assert _outcome(parse_algebra, text) == _outcome(_walk_algebra, text)
         assert _outcome(parse_multiset, text) == _outcome(_walk_multiset, text)
-
-
-# The recursive token walk over terms: the reference reader that parse_term is
-# held to
 
 
 def _walk_term(text: str) -> Term:
@@ -813,6 +948,34 @@ def test_round_trip(text):
     assert parse(render(v)) == v
     # canonical text is a fixpoint of render
     assert render(parse(render(v))) == render(v)
+
+
+# Labels that look like keywords or chains, and auto labels x1, x2, ..., so that
+# the product form renders; the largest chain size and multiplicity accepted
+OBJECT_LABELS = ["inf", "Linf", "L2", "_c", "x1", "x2", "x3"]
+chain_sizes = st.one_of(st.just(LINF), st.sampled_from([2, 3, 10, DIGITS_BOUND - 1]).map(ChainSize))
+multiplicities = st.sampled_from([1, 2, 12, INF, DIGITS_BOUND - 2])
+
+
+@st.composite
+def objects(draw):
+    """An algebra or a multiset, possibly empty; half of the time labelled x1, x2, ..."""
+    if draw(st.booleans()):
+        labels = [f"x{i + 1}" for i in range(draw(st.integers(0, 6)))]
+    else:
+        labels = draw(st.lists(st.sampled_from(OBJECT_LABELS), max_size=6, unique=True))
+    if draw(st.booleans()):
+        return EMultiset(tuple((label, draw(multiplicities)) for label in labels))
+    return make_algebra([(label, draw(chain_sizes)) for label in labels])
+
+
+@settings(max_examples=200, deadline=None)
+@given(objects())
+def test_objects_round_trip_through_render(v):
+    """parse(render(v)) == v, and render is a fixpoint: it gives back the text it read."""
+    text = render(v)
+    assert parse_object(text) == v
+    assert render(parse_object(text)) == text
 
 
 def test_tautologies_on_small_algebras():
