@@ -13,6 +13,7 @@ binaries left-associative.
 Objects and terms have one reader each: one pass over the text's tokens,
 which reads a text of any length and places every ParseError.  _read reads
 algebras and multisets; parse_term, an operator-precedence pass, reads terms.
+Term nodes are checked when built, so eval_term and render trust every node.
 
 A ParseError carries the character offset of the offending token in the
 input text.  The readers hold the tokens as plain strings, so the offset is
@@ -57,6 +58,7 @@ _LABEL_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
 
 _TOKEN_RE = re.compile(r"\(\+\)|\(\.\)|/\\|\\/|->|[~()\[\]{}:,*]|" + _LABEL + r"|\d+|\S")
 _END = "unexpected end of input"
+_is_label = re.compile(_LABEL).fullmatch
 
 
 def _token_start(text: str, index: int) -> int:
@@ -263,6 +265,8 @@ def parse_env(text: str, A: ProductAlgebra) -> dict[str, Element]:
         name = name.strip()
         if not value or not name:
             raise ValueError(f"bad binding {binding!r}")
+        if not _is_label(name):
+            raise ValueError(f"bad binding {binding!r}: {name!r} is not a label")
         if name in env:
             raise ValueError(f"bad binding {binding!r}: {name!r} is already bound")
         body = value.strip()
@@ -281,10 +285,11 @@ def parse_env(text: str, A: ProductAlgebra) -> dict[str, Element]:
 class Term:
     """Abstract syntax of an MV term.
 
-    The nodes are frozen dataclasses.  The _program slot is no field: eval_term
-    sets it on the root it evaluates (False after the first evaluation, then
-    the compiled program, or True if the term does not compile), and it takes
-    no part in equality, hashing, repr, copies or pickles.
+    The nodes are frozen dataclasses, checked when built: a node parse_term
+    never builds raises ValueError, naming its class and the bad value.  The
+    _program slot is no field: eval_term sets it on the root it evaluates
+    (False after the first evaluation, then the compiled program), and it
+    takes no part in equality, hashing, repr, copies or pickles.
     """
 
     __slots__ = ("_program",)
@@ -294,15 +299,27 @@ class Term:
 class Const(Term):
     value: int  # 0 or 1
 
+    def __post_init__(self) -> None:
+        if type(self.value) is not int or self.value not in (0, 1):  # refuses a bool
+            raise ValueError(f"Const.value must be the int 0 or 1, not {self.value!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
+    def __post_init__(self) -> None:
+        if type(self.name) is not str or not _is_label(self.name):
+            raise ValueError(f"Var.name must be a label, not {self.name!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class Neg(Term):
     arg: Term
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.arg, Term):
+            raise ValueError(f"Neg.arg must be a Term, not {self.arg!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,6 +327,14 @@ class BinOp(Term):
     op: str  # oplus, odot, meet, join, implies
     left: Term
     right: Term
+
+    def __post_init__(self) -> None:
+        if type(self.op) is not str or self.op not in MV_KERNELS:
+            raise ValueError(f"BinOp.op must be a key of MV_KERNELS, not {self.op!r}")
+        if not isinstance(self.left, Term):
+            raise ValueError(f"BinOp.left must be a Term, not {self.left!r}")
+        if not isinstance(self.right, Term):
+            raise ValueError(f"BinOp.right must be a Term, not {self.right!r}")
 
 
 _BINARY_LEVELS = [("implies", "->"), ("join", "\\/"), ("meet", "/\\"),
@@ -434,9 +459,11 @@ def eval_term(t: Term, env: dict[str, Element], A: ProductAlgebra) -> Element:
     The second compiles it (_compile) into one loop over the coordinates that
     runs the same kernels, and that and every later evaluation run the
     compiled program over the same numerators; its variables are checked
-    first, leftmost first, so it raises what the walk raises.  A term with an
-    operation outside MV_KERNELS, or a node of another class, is always walked.
+    first, leftmost first, so it raises what the walk raises.  The nodes
+    were checked when built: only the root's class is checked here.
     """
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {t!r}")
     bound = {x: e.coords for x, e in env.items() if e.algebra is A or e.algebra == A}
     dens = tuple([
         c.n - 1 if c.n is not None else math.lcm(*[v[k].denominator for v in bound.values()])
@@ -446,46 +473,34 @@ def eval_term(t: Term, env: dict[str, Element], A: ProductAlgebra) -> Element:
             for x, c in bound.items()}
 
     program = getattr(t, "_program", None)
-    if program is False:  # the second evaluation compiles t
-        program = _compile(t)
-        object.__setattr__(t, "_program", program or True)
-    elif program is None and isinstance(t, Term):  # the first walks it
-        object.__setattr__(t, "_program", False)
-    if type(program) is tuple:
-        names, run = program
-        try:
-            columns = [nums[x] for x in names]
-        except KeyError as exc:
-            raise _binding_error(exc.args[0], env) from None
-        return _trusted_element(A, tuple(map(_fraction, run(dens, *columns), dens)))
-
-    def numerators(t: Term) -> Iterable[int]:
-        """t's numerators over dens, one per coordinate, as a tuple or a lazy map."""
-        kind = type(t)
-        if kind is BinOp:
-            left, right = numerators(t.left), numerators(t.right)
-            kernel = MV_KERNELS.get(t.op)
-            if kernel is None:
-                raise AlgebraError(f"unknown operation {t.op!r}")
-            return map(kernel, left, right, dens)
-        if kind is Var:
-            if t.name in nums:
-                return nums[t.name]
-            raise _binding_error(t.name, env)
-        if kind is Neg:
-            return map(operator.sub, dens, numerators(t.arg))
-        if kind is Const:
-            return dens if t.value else (0,) * len(dens)
-        raise TypeError(f"not a term: {t!r}")
-
-    return _trusted_element(A, tuple(map(_fraction, numerators(t), dens)))
+    if not program:  # unset: the first evaluation walks t; False: the second compiles it
+        program = program is not None and _compile(t)
+        object.__setattr__(t, "_program", program)
+    try:
+        if program:
+            names, run = program
+            values = run(dens, *[nums[x] for x in names])
+        else:
+            values = _numerators(t, nums, dens)
+    except KeyError as exc:  # the leftmost variable of t that nums does not bind
+        name = exc.args[0]
+        if name not in env:
+            raise UnboundVariableError(f"variable {name!r} is not bound") from None
+        raise AlgebraError(f"binding for {name!r} lives in a different algebra") from None
+    return _trusted_element(A, tuple(map(_fraction, values, dens)))
 
 
-def _binding_error(name: str, env: dict[str, Element]) -> ValueError:
-    """The error of a variable of the term that has no binding in the algebra."""
-    if name not in env:
-        return UnboundVariableError(f"variable {name!r} is not bound")
-    return AlgebraError(f"binding for {name!r} lives in a different algebra")
+def _numerators(t: Term, nums: dict[str, tuple[int, ...]], dens: tuple[int, ...]) -> Iterable[int]:
+    """t's numerators over dens, one per coordinate, as a tuple or a lazy map."""
+    kind = type(t)
+    if kind is BinOp:
+        left, right = _numerators(t.left, nums, dens), _numerators(t.right, nums, dens)
+        return map(MV_KERNELS[t.op], left, right, dens)
+    if kind is Var:
+        return nums[t.name]
+    if kind is Neg:
+        return map(operator.sub, dens, _numerators(t.arg, nums, dens))
+    return dens if t.value else (0,) * len(dens)
 
 
 # The only names a compiled program reads besides its own; never written to.
@@ -493,11 +508,7 @@ _PROGRAM_GLOBALS = {"__builtins__": {"zip": zip},
                     **{f"k_{op}": kernel for op, kernel in MV_KERNELS.items()}}
 
 
-class _NotCompiled(Exception):
-    pass
-
-
-def _compile(t: Term) -> tuple[tuple[str, ...], Callable[..., list[int]]] | None:
+def _compile(t: Term) -> tuple[tuple[str, ...], Callable[..., list[int]]]:
     """t's variables, in order of first occurrence, and a program for its numerators.
 
     For `~x (+) y` the program is
@@ -511,10 +522,10 @@ def _compile(t: Term) -> tuple[tuple[str, ...], Callable[..., list[int]]] | None
             return out
 
     where c0 and c1 hold the numerators of x and y.  The source holds only
-    these fixed names, never a variable of the term.  A node whose value is
+    these fixed names, never a variable of the term: each op was checked to
+    be a key of MV_KERNELS when its node was built.  A node whose value is
     still needed keeps its temporary, so a term needs no more temporaries
-    than it is deep.  None if t does not compile: it is then always walked,
-    which raises its error in its place.
+    than it is deep.
     """
     names: dict[str, int] = {}
     lines: list[str] = []
@@ -523,27 +534,18 @@ def _compile(t: Term) -> tuple[tuple[str, ...], Callable[..., list[int]]] | None
         """Append the statements for t, using temporaries from t{free} on; its value's name."""
         kind = type(t)
         if kind is BinOp:
-            if type(t.op) is not str or t.op not in MV_KERNELS:
-                raise _NotCompiled
             left = emit(t.left, free)
             right = emit(t.right, free + 1)
             lines.append(f"t{free} = k_{t.op}({left}, {right}, d)")
         elif kind is Var:
-            if type(t.name) is not str:
-                raise _NotCompiled
             return f"v{names.setdefault(t.name, len(names))}"
         elif kind is Neg:
             lines.append(f"t{free} = d - {emit(t.arg, free)}")
-        elif kind is Const:
-            return "d" if t.value else "0"
         else:
-            raise _NotCompiled
+            return "d" if t.value else "0"
         return f"t{free}"
 
-    try:
-        value = emit(t, 0)
-    except _NotCompiled:
-        return None
+    value = emit(t, 0)
     columns = [f"c{i}" for i in range(len(names))]
     loop = f"zip(dens, {', '.join(columns)})" if columns else "dens"
     source = "\n".join([
@@ -590,13 +592,11 @@ def _render_term(t: Term, parent: int = -1, right_side: bool = False) -> str:
         return t.name
     if isinstance(t, Neg):
         return f"~{_render_term(t.arg, parent=len(_BINARY_LEVELS))}"
-    if isinstance(t, BinOp):
-        prec = _PREC[t.op]
-        text = (
-            f"{_render_term(t.left, prec, False)} {_SYMBOL_OF[t.op]} "
-            f"{_render_term(t.right, prec, True)}"
-        )
-        if parent > prec or (parent == prec and right_side):
-            return f"({text})"
-        return text
-    raise TypeError(f"not a term: {t!r}")
+    prec = _PREC[t.op]
+    text = (
+        f"{_render_term(t.left, prec, False)} {_SYMBOL_OF[t.op]} "
+        f"{_render_term(t.right, prec, True)}"
+    )
+    if parent > prec or (parent == prec and right_side):
+        return f"({text})"
+    return text

@@ -305,6 +305,10 @@ def test_eval_unbound_variable(capsys):
         ("x=(1); x =(0)", "bad binding ' x =(0)': 'x' is already bound"),
         (" =(1)", "bad binding ' =(1)'"),
         ("x=(1);=(0)", "bad binding '=(0)'"),
+        ("x=(1); 1 x=(0)", "bad binding ' 1 x=(0)': '1 x' is not a label"),
+        ("x-1=(1)", "bad binding 'x-1=(1)': 'x-1' is not a label"),
+        ("1x=(1)", "bad binding '1x=(1)': '1x' is not a label"),
+        ("\u00e9=(1)", "bad binding '\u00e9=(1)': '\u00e9' is not a label"),
     ],
 )
 def test_eval_duplicate_or_empty_binding_is_domain_error(capsys, env, message):

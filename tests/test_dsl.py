@@ -1,6 +1,7 @@
 import ast
 import copy
 import dataclasses
+import gc
 import itertools
 import os
 import pickle
@@ -552,20 +553,28 @@ def test_term_reader_returns_what_the_token_walk_returns(drawn):
 
 
 def test_terms_survive_copies_and_refuse_assignment():
-    """Also once evaluated twice, when the root holds its compiled program."""
+    """Also once evaluated twice, when the root holds its compiled program,
+    which no copy or pickle carries; replace builds through the checks."""
     A = parse_algebra("L3")
+    env = {"x": make_element(A, [Fraction(1, 2)])}
     compiled = parse_term("~x (+) 1")
     for _ in range(2):
-        eval_term(compiled, {"x": unit(A)}, A)
+        value = eval_term(compiled, env, A)
     assert type(compiled._program) is tuple  # (its variables, its program)
     for t in (parse_term("~x (+) 1"), compiled):
         assert t == compiled and hash(t) == hash(compiled) and repr(t) == repr(compiled)
         for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
             assert clone == t and hash(clone) == hash(t)
+            assert not hasattr(clone, "_program")
+            assert eval_term(clone, env, A) == value
         for node, field in [(t, "op"), (t.left, "arg"), (t.left.arg, "name"), (t.right, "value")]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(node, field, getattr(node, field))
             assert not hasattr(node, "__dict__")
+        for node, field, bad in [(t, "op", "xor"), (t.left, "arg", "x"), (t.left.arg, "name", "1x"),
+                                 (t.right, "value", 2)]:
+            with pytest.raises(ValueError):
+                dataclasses.replace(node, **{field: bad})
 
 
 def test_parse_term_tautology_shape():
@@ -633,8 +642,13 @@ def test_parse_term_at_depth_limit():
         parse_term("x" + " (+) x" * MAX_TERM_DEPTH)
 
 
+# Keywords, chain and multiplicity spellings are labels too, and so variables.
+TERM_LABELS = ["x", "y", "z", "if", "None", "lambda", "Linf", "inf", "L2", "_c", "x1"]
 terms = st.recursive(
-    st.one_of(st.sampled_from([Const(0), Const(1)]), st.sampled_from("xyz").map(Var)),
+    st.one_of(
+        st.sampled_from([Const(0), Const(1)]),
+        st.one_of(st.sampled_from(TERM_LABELS), st.from_regex(_LABEL, fullmatch=True)).map(Var),
+    ),
     lambda sub: st.one_of(
         sub.map(Neg),
         st.builds(
@@ -727,9 +741,22 @@ def ref_eval(t, env, i):
     return REF_OPS[t.op](ref_eval(t.left, env, i), ref_eval(t.right, env, i))
 
 
+def variables(t):
+    """The names of t's variables."""
+    if isinstance(t, Var):
+        return {t.name}
+    if isinstance(t, Neg):
+        return variables(t.arg)
+    if isinstance(t, BinOp):
+        return variables(t.left) | variables(t.right)
+    return set()
+
+
 @st.composite
-def algebras_with_bindings(draw):
-    """A product of L2..L7 and Linf with elements bound to x, y and z."""
+def bound_terms(draw):
+    """A term, and a product of L2..L7 and Linf with elements bound to x, y,
+    z and each variable of the term."""
+    t = draw(terms)
     sizes = draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, 7, None]), min_size=1, max_size=4))
     A = make_algebra(
         (f"x{i + 1}", LINF if n is None else ChainSize(n)) for i, n in enumerate(sizes)
@@ -741,15 +768,16 @@ def algebras_with_bindings(draw):
         return st.integers(0, n - 1).map(lambda k: Fraction(k, n - 1))
 
     env = {
-        name: make_element(A, [draw(coord(n)) for n in sizes]) for name in "xyz"
+        name: make_element(A, [draw(coord(n)) for n in sizes])
+        for name in sorted(variables(t) | {"x", "y", "z"})
     }
-    return A, env
+    return t, A, env
 
 
 @settings(max_examples=200, deadline=None)
-@given(terms, algebras_with_bindings())
-def test_eval_term_matches_a_per_coordinate_reference(t, bound):
-    A, env = bound
+@given(bound_terms())
+def test_eval_term_matches_a_per_coordinate_reference(bound):
+    t, A, env = bound
     value = eval_thrice(t, env, A)
     assert value.algebra == A
     assert value.coords == tuple(ref_eval(t, env, i) for i in range(len(A.factors)))
@@ -803,12 +831,12 @@ def test_eval_error_ignores_unreferenced_bindings(text, error, message):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    terms, algebras_with_bindings(), st.sampled_from([-1, 1, 2]),
+    bound_terms(), st.sampled_from([-1, 1, 2]),
     st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6),
 )
-def test_eval_term_ignores_an_unreferenced_binding_from_another_algebra(t, bound, extra, v):
+def test_eval_term_ignores_an_unreferenced_binding_from_another_algebra(bound, extra, v):
     """The denominators come from A's bindings; w has another number of coordinates."""
-    A, env = bound
+    t, A, env = bound
     other = make_algebra((f"x{i + 1}", LINF) for i in range(len(A.factors) + extra))
     wider = {"w": make_element(other, [v] * len(other.factors)), **env}
     assert eval_thrice(t, wider, A) == eval_thrice(t, env, A)
@@ -856,18 +884,63 @@ def test_eval_term_gives_the_reference_on_every_evaluation(text):
     assert eval_thrice(t, env, A).coords == tuple(ref_eval(t, env, i) for i in range(2))
 
 
-@pytest.mark.parametrize("t, error, message", [
-    (BinOp("xor", Var("x"), Var("y")), AlgebraError, "unknown operation 'xor'"),
-    (BinOp("xor", Var("x"), Var("u")), UnboundVariableError, "variable 'u' is not bound"),
-    (BinOp("oplus", BinOp("xor", Var("x"), Var("y")), Var("u")),
-     AlgebraError, "unknown operation 'xor'"),
-    (Neg(BinOp("meet", Var("x"), "y")), TypeError, "not a term: 'y'"),
+UNBUILDABLE_NODES = [
+    (Const, (2,), "Const.value must be the int 0 or 1, not 2"),
+    (Const, (True,), "Const.value must be the int 0 or 1, not True"),
+    (Const, (-1,), "Const.value must be the int 0 or 1, not -1"),
+    (Var, (3,), "Var.name must be a label, not 3"),
+    (Var, ("",), "Var.name must be a label, not ''"),
+    (Var, ("1x",), "Var.name must be a label, not '1x'"),
+    (Var, ("x y",), "Var.name must be a label, not 'x y'"),
+    (Neg, ("x",), "Neg.arg must be a Term, not 'x'"),
+    (BinOp, ("xor", Var("x"), Var("y")), "BinOp.op must be a key of MV_KERNELS, not 'xor'"),
+    (BinOp, (["oplus"], Var("x"), Var("y")),
+     "BinOp.op must be a key of MV_KERNELS, not ['oplus']"),
+    (BinOp, ("oplus", Var("x"), "y"), "BinOp.right must be a Term, not 'y'"),
+]
+
+
+@pytest.mark.parametrize("node, args, message", UNBUILDABLE_NODES, ids=[
+    f"{node.__name__}({', '.join(map(repr, args))})" for node, args, _ in UNBUILDABLE_NODES
 ])
-def test_a_term_that_does_not_compile_raises_on_every_evaluation(t, error, message):
-    A = parse_algebra("L3 * L2")
-    with pytest.raises(error) as info:
-        eval_thrice(t, {"x": unit(A), "y": unit(A)}, A)
+def test_a_node_that_parse_term_could_never_build_is_refused(node, args, message):
+    """The message names the node class and the bad value, not the subtree."""
+    with pytest.raises(ValueError) as info:
+        node(*args)
+    assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+def test_eval_term_and_render_refuse_a_root_that_is_no_term():
+    A = parse_algebra("L3")
+    with pytest.raises(TypeError, match="^not a term: 'x'$"):
+        eval_term("x", {"x": unit(A)}, A)
+    with pytest.raises(TypeError, match="^cannot render str$"):
+        render("x")
+
+
+def test_walked_and_compiled_evaluations_leave_no_reference_cycle():
+    """Reference counting alone frees what an evaluation leaves, so a stream of
+    evaluations never wakes the cyclic collector: a walk written as a closure
+    that calls itself would leave one cycle per evaluation."""
+    A = parse_algebra("L5 * Linf")
+    env = {"x": make_element(A, [Fraction(1, 4), Fraction(2, 7)]),
+           "y": make_element(A, [Fraction(3, 4), Fraction(1, 3)])}
+    text = "~(x (+) y) -> (x /\\ ~y) \\/ x (.) y"
+    compiled = parse_term(text)
+    for _ in range(2):
+        eval_term(compiled, env, A)
+    fresh = [parse_term(text) for _ in range(20)]
+    gc.collect()
+    gc.disable()
+    try:
+        for t in fresh:
+            eval_term(t, env, A)  # each walked once
+        for _ in range(20):
+            eval_term(compiled, env, A)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_threads_evaluating_one_fresh_term_get_the_walks_value():
