@@ -25,7 +25,6 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import duality as dual
 from . import dsl
@@ -54,7 +53,8 @@ class CommandResult:
 
 def _read_arg(text: str) -> str:
     if text.startswith("@"):
-        return Path(text[1:]).read_text().strip()
+        with open(text[1:]) as f:
+            return f.read().strip()
     return text
 
 

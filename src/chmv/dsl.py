@@ -28,7 +28,7 @@ import operator
 import re
 import types
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -282,17 +282,29 @@ def parse_env(text: str, A: ProductAlgebra) -> dict[str, Element]:
 
 # --- terms ------------------------------------------------------------------
 
+# Every Term is at most MAX_TERM_DEPTH high (nodes on its longest path), which
+# keeps render, the evaluation walk and the parentheses of a compiled program
+# far below the interpreter's recursion and nesting limits.
+MAX_TERM_DEPTH = 100
+_TOO_DEEP = f"term nests deeper than {MAX_TERM_DEPTH} levels"
+
+
 class Term:
     """Abstract syntax of an MV term.
 
-    The nodes are frozen dataclasses, checked when built: a node parse_term
-    never builds raises ValueError, naming its class and the bad value.  The
-    _program slot is no field: eval_term sets it on the root it evaluates
-    (False after the first evaluation, then the compiled program), and it
-    takes no part in equality, hashing, repr, copies or pickles.
+    The nodes are frozen dataclasses, checked when built: a bare Term, a node
+    parse_term never builds and a node higher than MAX_TERM_DEPTH raise
+    ValueError, naming the class.  Neither height nor the _program slot takes
+    part in equality, hashing or repr.  eval_term sets _program on the root it
+    evaluates (False after the first evaluation, then the compiled program);
+    no copy or pickle carries it.
     """
 
     __slots__ = ("_program",)
+    height = 1  # a leaf's: Neg and BinOp compute theirs when built
+
+    def __init__(self) -> None:
+        raise ValueError("Term is abstract: build a Const, Var, Neg or BinOp")
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,10 +328,14 @@ class Var(Term):
 @dataclass(frozen=True, slots=True)
 class Neg(Term):
     arg: Term
+    height: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.arg, Term):
             raise ValueError(f"Neg.arg must be a Term, not {self.arg!r}")
+        if (height := self.arg.height + 1) > MAX_TERM_DEPTH:
+            raise ValueError(f"Neg must be at most {MAX_TERM_DEPTH} high, not {height}")
+        object.__setattr__(self, "height", height)
 
 
 @dataclass(frozen=True, slots=True)
@@ -327,6 +343,7 @@ class BinOp(Term):
     op: str  # oplus, odot, meet, join, implies
     left: Term
     right: Term
+    height: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.op) is not str or self.op not in MV_KERNELS:
@@ -335,6 +352,9 @@ class BinOp(Term):
             raise ValueError(f"BinOp.left must be a Term, not {self.left!r}")
         if not isinstance(self.right, Term):
             raise ValueError(f"BinOp.right must be a Term, not {self.right!r}")
+        if (height := max(self.left.height, self.right.height) + 1) > MAX_TERM_DEPTH:
+            raise ValueError(f"BinOp must be at most {MAX_TERM_DEPTH} high, not {height}")
+        object.__setattr__(self, "height", height)
 
 
 _BINARY_LEVELS = [("implies", "->"), ("join", "\\/"), ("meet", "/\\"),
@@ -342,11 +362,6 @@ _BINARY_LEVELS = [("implies", "->"), ("join", "\\/"), ("meet", "/\\"),
 _SYMBOL_OF = dict(_BINARY_LEVELS)
 _LEVEL_OF = {symbol: (level, op) for level, (op, symbol) in enumerate(_BINARY_LEVELS)}
 _PREC = {op: level for level, (op, _) in enumerate(_BINARY_LEVELS)}
-
-# render and eval_term recurse over a term; this bound keeps them far below
-# the interpreter's recursion limit.
-MAX_TERM_DEPTH = 100
-_TOO_DEEP = f"term nests deeper than {MAX_TERM_DEPTH} levels"
 
 # What waits on parse_term's operator stack besides the binaries: a "(", with
 # the index of its token, and a "~", both below every binary level
@@ -358,24 +373,21 @@ def parse_term(text: str) -> Term:
 
     Depth counts negations, binary operators and parentheses along a path.
     One operator-precedence (shunting-yard) pass: operands wait on `out`,
-    their heights (the nodes on the longest path) on `heights`, and `ops`
-    holds the waiting "(", "~" and binaries, each "(" and binary with its
-    token's index.  A binary first joins the waiting binaries of its level or
-    tighter, so chains associate to the left; a "~" waits until its operand
-    is complete.
+    one Var per name, and `ops` holds the waiting "(", "~" and binaries,
+    each "(" and binary with its token's index.  A binary first joins the
+    waiting binaries of its level or tighter, so chains associate to the
+    left; a "~" waits until its operand is complete.
 
     A bad character anywhere is reported first.  The entries of `ops` above
     its bottom are the depth of the next operand, so a "(" or binary that
-    nests too deep is reported at once.  A term too high is reported after
-    any syntax error, at the token where it first grew too high: the operand
-    of a run of negations, or the operator that lengthens a chain.
+    nests too deep is reported at once.  So is a node too high, at its token:
+    the operand of a run of negations, or the operator that lengthens a chain.
     """
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # the end of the text
     out: list[Term] = []
-    heights: list[int] = []
     ops = [(-1, "(", 0)]  # never popped: it stands for the whole text
-    too_high = None  # the index of that token
+    names: dict[str, Var] = {}
     operand = True  # whether an operand comes next
     for i, tok in enumerate(tokens):
         if operand:
@@ -388,24 +400,21 @@ def parse_term(text: str) -> Term:
                     raise _term_error(text, tokens, _TOO_DEEP, i + 1)
                 continue
             if tok[:1] in _LABEL_START:  # such a token is a whole _LABEL
-                out.append(Var(tok))
+                out.append(names.get(tok) or names.setdefault(tok, Var(tok)))
             elif tok == "0" or tok == "1":
                 out.append(Const(int(tok)))
             else:
                 raise _term_error(text, tokens, f"expected a term, found {tok!r}" if tok else _END, i)
-            heights.append(1)
             start = i  # of the complete operand
         else:
             entry = _LEVEL_OF.get(tok)
             level = 0 if entry is None else entry[0]  # ")" and the end join every binary
             while ops[-1][0] >= level:
                 _, op, at = ops.pop()
-                right, right_height = out.pop(), heights.pop()
-                out[-1] = BinOp(op, out[-1], right)
-                height = heights[-1] if heights[-1] > right_height else right_height
-                heights[-1] = height = height + 1
-                if height > MAX_TERM_DEPTH and too_high is None:
-                    too_high = at
+                try:  # out[-2] is read before the pop: the left operand, then the right
+                    out[-1] = BinOp(op, out[-2], out.pop())
+                except ValueError:  # too high: the one check such a node can fail
+                    raise _term_error(text, tokens, _TOO_DEEP, at) from None
             if entry is not None:
                 ops.append((level, entry[1], i))
                 if len(ops) > MAX_TERM_DEPTH + 1:
@@ -421,13 +430,11 @@ def parse_term(text: str) -> Term:
             start = ops.pop()[2]
         while ops[-1] is _NOT:  # their operand, from token start on, is complete
             ops.pop()
-            out[-1] = Neg(out[-1])
-            heights[-1] += 1
-            if heights[-1] > MAX_TERM_DEPTH and too_high is None:
-                too_high = start
+            try:
+                out[-1] = Neg(out[-1])
+            except ValueError:  # too high
+                raise _term_error(text, tokens, _TOO_DEEP, start) from None
         operand = False
-    if too_high is not None:
-        raise _term_error(text, tokens, _TOO_DEEP, too_high)
     return out[0]
 
 
@@ -516,43 +523,34 @@ def _compile(t: Term) -> tuple[tuple[str, ...], Callable[..., list[int]]]:
         def program(dens, c0, c1):
             out = []
             for d, v0, v1 in zip(dens, c0, c1):
-                t0 = d - v0
-                t0 = k_oplus(t0, v1, d)
-                out.append(t0)
+                out.append(k_oplus((d - v0), v1, d))
             return out
 
-    where c0 and c1 hold the numerators of x and y.  The source holds only
-    these fixed names, never a variable of the term: each op was checked to
-    be a key of MV_KERNELS when its node was built.  A node whose value is
-    still needed keeps its temporary, so a term needs no more temporaries
-    than it is deep.
+    where c0 and c1 hold the numerators of x and y: one expression, appended
+    once per coordinate, with one parenthesis per node, which nest far below
+    the compiler's limit as t is at most MAX_TERM_DEPTH high.  The source holds
+    only these fixed names, never a variable of the term: each op was checked
+    to be a key of MV_KERNELS when its node was built.
     """
     names: dict[str, int] = {}
-    lines: list[str] = []
 
-    def emit(t: Term, free: int) -> str:
-        """Append the statements for t, using temporaries from t{free} on; its value's name."""
+    def expression(t: Term) -> str:
         kind = type(t)
         if kind is BinOp:
-            left = emit(t.left, free)
-            right = emit(t.right, free + 1)
-            lines.append(f"t{free} = k_{t.op}({left}, {right}, d)")
-        elif kind is Var:
+            return f"k_{t.op}({expression(t.left)}, {expression(t.right)}, d)"
+        if kind is Var:
             return f"v{names.setdefault(t.name, len(names))}"
-        elif kind is Neg:
-            lines.append(f"t{free} = d - {emit(t.arg, free)}")
-        else:
-            return "d" if t.value else "0"
-        return f"t{free}"
+        if kind is Neg:
+            return f"(d - {expression(t.arg)})"
+        return "d" if t.value else "0"
 
-    value = emit(t, 0)
+    value = expression(t)
     columns = [f"c{i}" for i in range(len(names))]
     loop = f"zip(dens, {', '.join(columns)})" if columns else "dens"
     source = "\n".join([
         f"def program({', '.join(['dens'] + columns)}):",
         "    out = []",
         f"    for {', '.join(['d'] + [f'v{i}' for i in range(len(names))])} in {loop}:",
-        *[f"        {line}" for line in lines],
         f"        out.append({value})",
         "    return out",
     ])

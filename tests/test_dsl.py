@@ -38,6 +38,7 @@ from chmv.dsl import (
     _TOO_DEEP,
     _below,
     _check_characters,
+    _compile,
     _repeated_label,
     _token_start,
     eval_term,
@@ -217,10 +218,10 @@ TOO_DEEP = "term nests deeper than 100 levels"
         pytest.param(parse_term, "x" + " (+) x" * 100, TOO_DEEP, 596, id="chain-too-deep"),
         pytest.param(parse_term, "x" + " -> x" * 150, TOO_DEEP, 497, id="chain-past-the-limit"),
         pytest.param(parse_term, "x (+) " + "~" * 99 + "x", TOO_DEEP, 2, id="operator-too-deep"),
-        pytest.param(parse_term, "~" * 100 + "x )", "trailing input ')'", 102,
-                     id="syntax-error-before-depth"),
-        pytest.param(parse_term, "x" + " -> x" * 150 + " )", "trailing input ')'", 752,
-                     id="syntax-error-before-height"),
+        pytest.param(parse_term, "~" * 100 + "x )", TOO_DEEP, 100,
+                     id="run-height-before-syntax-error"),
+        pytest.param(parse_term, "x" + " -> x" * 150 + " )", TOO_DEEP, 497,
+                     id="chain-height-before-syntax-error"),
         pytest.param(parse_term, "(" * 101 + "x #", "unexpected character '#'", 103,
                      id="bad-character-before-depth"),
     ],
@@ -455,12 +456,15 @@ def test_parsers_return_what_the_token_walk_returns(drawn):
 def _walk_term(text: str) -> Term:
     """parse_term by the token walk, which reads every text and places every error."""
     cur = _Cursor(text)
-    cur.too_high = None  # index of that token
-    term, height = _parse_binary(cur, 0, 0)
+    term, _ = _parse_binary(cur, 0, 0)
     cur.done()
-    if height > MAX_TERM_DEPTH:
-        raise ParseError(_TOO_DEEP, _token_start(text, cur.too_high))
     return term
+
+
+def _check_height(cur: _Cursor, height: int, at: int) -> None:
+    """Raise the depth ParseError at token at if a node this high is too high."""
+    if height > MAX_TERM_DEPTH:
+        raise ParseError(_TOO_DEEP, _token_start(cur.text, at))
 
 
 def _parse_binary(cur: _Cursor, min_level: int, depth: int) -> tuple[Term, int]:
@@ -476,10 +480,9 @@ def _parse_binary(cur: _Cursor, min_level: int, depth: int) -> tuple[Term, int]:
         at = cur.pos
         cur.next()
         right, right_height = _parse_binary(cur, level + 1, depth + 1)
+        height = max(height, right_height) + 1
+        _check_height(cur, height, at)
         left = BinOp(op, left, right)
-        height = (height if height > right_height else right_height) + 1
-        if height > MAX_TERM_DEPTH and cur.too_high is None:
-            cur.too_high = at
     return left, height
 
 
@@ -492,11 +495,10 @@ def _parse_unary(cur: _Cursor, depth: int) -> tuple[Term, int]:
         return _parse_atom(cur, depth)
     at = cur.pos
     term, height = _parse_atom(cur, depth + negations)
+    height += negations
+    _check_height(cur, height, at)
     for _ in range(negations):
         term = Neg(term)
-    height += negations
-    if height > MAX_TERM_DEPTH and cur.too_high is None:
-        cur.too_high = at
     return term, height
 
 
@@ -518,15 +520,29 @@ def _parse_atom(cur: _Cursor, depth: int) -> tuple[Term, int]:
 TERM_REPLACEMENTS = DSL_PIECES + ["00", "10", "123", "\u0663", "$", "\u00a0", "] x"]
 
 
+# What may follow a term too high: each is a syntax error after it
+STRAY_PIECES = [")", "x", "(", "~", "(+)", "]"]
+
+
 @st.composite
 def term_tokens(draw):
-    """The tokens of a well-formed term, and the index of one of them.
+    """The tokens of a term, and the index of one of them.
 
-    Three times in four a shorter term grows to 100, 101 or 300 tokens, around
-    and far past the depth limit: wrapped in parentheses and a "~", it nests
-    as deep as it is long; joined with more terms in parentheses, it stays
-    far less deep than long.
+    One time in five it is a run of "~" or a chain of one binary, 101-150
+    high, then one of STRAY_PIECES: too high, with a later syntax error.
+    Else it is well-formed, and three times in four a shorter term grows to
+    100, 101 or 300 tokens, around and far past the depth limit: wrapped in
+    parentheses and a "~", it nests as deep as it is long; joined with more
+    terms in parentheses, it stays far less deep than long.
     """
+    if draw(st.integers(0, 4)) == 0:
+        height = draw(st.integers(MAX_TERM_DEPTH + 1, 150))
+        if draw(st.booleans()):
+            tokens = ["~"] * (height - 1) + ["x"]
+        else:
+            tokens = ["x"] + [draw(st.sampled_from(list(_LEVEL_OF))), "y"] * (height - 1)
+        tokens.append(draw(st.sampled_from(STRAY_PIECES)))
+        return tokens, draw(st.integers(0, len(tokens) - 1))
     tokens = _TOKEN_RE.findall(render(draw(terms)))
     size = draw(st.sampled_from([0, MAX_TERM_DEPTH, MAX_TERM_DEPTH + 1, 3 * MAX_TERM_DEPTH]))
     if draw(st.booleans()):
@@ -884,31 +900,65 @@ def test_eval_term_gives_the_reference_on_every_evaluation(text):
     assert eval_thrice(t, env, A).coords == tuple(ref_eval(t, env, i) for i in range(2))
 
 
+# A term exactly MAX_TERM_DEPTH high in each shape.  A right chain of binaries
+# nests deeper than parse_term reads, so the right chain's high side is a
+# left chain in parentheses.
+RUN = parse_term("~" * (MAX_TERM_DEPTH - 1) + "x")
+LEFT_CHAIN = parse_term("x" + " (+) y" * (MAX_TERM_DEPTH - 1))
+RIGHT_CHAIN = parse_term("z -> (~x" + " (.) y" * (MAX_TERM_DEPTH - 4) + " (.) 1)")
+HIGHEST = {"run": RUN, "left-chain": LEFT_CHAIN, "right-chain": RIGHT_CHAIN}
+
+# The source of each call, which is also its test id
 UNBUILDABLE_NODES = [
-    (Const, (2,), "Const.value must be the int 0 or 1, not 2"),
-    (Const, (True,), "Const.value must be the int 0 or 1, not True"),
-    (Const, (-1,), "Const.value must be the int 0 or 1, not -1"),
-    (Var, (3,), "Var.name must be a label, not 3"),
-    (Var, ("",), "Var.name must be a label, not ''"),
-    (Var, ("1x",), "Var.name must be a label, not '1x'"),
-    (Var, ("x y",), "Var.name must be a label, not 'x y'"),
-    (Neg, ("x",), "Neg.arg must be a Term, not 'x'"),
-    (BinOp, ("xor", Var("x"), Var("y")), "BinOp.op must be a key of MV_KERNELS, not 'xor'"),
-    (BinOp, (["oplus"], Var("x"), Var("y")),
+    ("Const(2)", "Const.value must be the int 0 or 1, not 2"),
+    ("Const(True)", "Const.value must be the int 0 or 1, not True"),
+    ("Const(-1)", "Const.value must be the int 0 or 1, not -1"),
+    ("Var(3)", "Var.name must be a label, not 3"),
+    ("Var('')", "Var.name must be a label, not ''"),
+    ("Var('1x')", "Var.name must be a label, not '1x'"),
+    ("Var('x y')", "Var.name must be a label, not 'x y'"),
+    ("Neg('x')", "Neg.arg must be a Term, not 'x'"),
+    ("BinOp('xor', Var(name='x'), Var(name='y'))",
+     "BinOp.op must be a key of MV_KERNELS, not 'xor'"),
+    ("BinOp(['oplus'], Var(name='x'), Var(name='y'))",
      "BinOp.op must be a key of MV_KERNELS, not ['oplus']"),
-    (BinOp, ("oplus", Var("x"), "y"), "BinOp.right must be a Term, not 'y'"),
+    ("BinOp('oplus', Var(name='x'), 'y')", "BinOp.right must be a Term, not 'y'"),
+    ("Term()", "Term is abstract: build a Const, Var, Neg or BinOp"),
+    ("Neg(Term())", "Term is abstract: build a Const, Var, Neg or BinOp"),
+    ("Neg(RUN)", "Neg must be at most 100 high, not 101"),
+    ("Neg(LEFT_CHAIN)", "Neg must be at most 100 high, not 101"),
+    ("BinOp('oplus', LEFT_CHAIN, Var(name='x'))", "BinOp must be at most 100 high, not 101"),
+    ("BinOp('oplus', Var(name='x'), RIGHT_CHAIN)", "BinOp must be at most 100 high, not 101"),
+    ("BinOp('meet', RUN, RIGHT_CHAIN)", "BinOp must be at most 100 high, not 101"),
 ]
 
 
-@pytest.mark.parametrize("node, args, message", UNBUILDABLE_NODES, ids=[
-    f"{node.__name__}({', '.join(map(repr, args))})" for node, args, _ in UNBUILDABLE_NODES
-])
-def test_a_node_that_parse_term_could_never_build_is_refused(node, args, message):
+@pytest.mark.parametrize("call, message", UNBUILDABLE_NODES, ids=[c for c, _ in UNBUILDABLE_NODES])
+def test_a_node_that_parse_term_could_never_build_is_refused(call, message):
     """The message names the node class and the bad value, not the subtree."""
     with pytest.raises(ValueError) as info:
-        node(*args)
+        eval(call)
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("shape", HIGHEST)
+def test_a_term_at_the_height_limit_is_a_whole_term(shape):
+    """It builds, renders, parses back, evaluates alike when walked, compiled and
+    run compiled, and keeps its height through copies, pickles and replace."""
+    t = HIGHEST[shape]
+    assert t.height == MAX_TERM_DEPTH
+    assert parse_term(render(t)) == t
+    A = parse_algebra("L5 * Linf * L3")
+    env = {name: make_element(A, [Fraction(k, 4), Fraction(k, 7), Fraction(k % 3, 2)])
+           for k, name in enumerate("xyz", 1)}
+    assert eval_thrice(t, env, A).coords == tuple(ref_eval(t, env, i) for i in range(3))
+    _, program = _compile(t)  # no temporaries: its locals are dens, the c and v columns, d, out
+    assert [v for v in program.__code__.co_varnames if v[0] not in "cdv"] == ["out"]
+    change = {"op": "join"} if type(t) is BinOp else {"arg": Neg(t.arg.arg)}  # a new node
+    for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)),
+                  dataclasses.replace(t), dataclasses.replace(t, **change)):
+        assert clone.height == MAX_TERM_DEPTH
 
 
 def test_eval_term_and_render_refuse_a_root_that_is_no_term():
