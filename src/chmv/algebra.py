@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .chain import _ONE, _ZERO, MV_KERNELS, ChainSize, check_member, mv_op
+from .chain import _ONE, _ZERO, MV_KERNELS, ChainSize, _is_label, check_member, mv_op
 
 DEFAULT_ENUM_BOUND = 10 ** 6
 IDEAL_SCAN_LIMIT = 16
@@ -53,6 +53,11 @@ class ProductAlgebra:
     factors: tuple[tuple[str, ChainSize], ...]
 
     def __post_init__(self) -> None:
+        for lbl, c in self.factors:
+            if type(lbl) is not str or not _is_label(lbl):
+                raise AlgebraError(f"factor label must be a label, not {lbl!r}")
+            if not isinstance(c, ChainSize):
+                raise AlgebraError(f"factor {lbl} must be a ChainSize, not {c!r}")
         labels = [lbl for lbl, _ in self.factors]
         if len(set(labels)) != len(labels):
             raise DuplicateLabelError(f"duplicate factor labels in {labels}")
@@ -112,7 +117,9 @@ class Element:
             raise AlgebraError(
                 f"expected {len(self.algebra.factors)} coordinates, got {len(self.coords)}"
             )
-        for (_, c), v in zip(self.algebra.factors, self.coords):
+        for i, ((_, c), v) in enumerate(zip(self.algebra.factors, self.coords)):
+            if type(v) is not Fraction:  # make_element converts other values
+                raise AlgebraError(f"coordinate {i} must be a Fraction, not {v!r}")
             check_member(v, c)
 
     def coord(self, label: str) -> Fraction:

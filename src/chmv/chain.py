@@ -10,11 +10,17 @@ operation, taking numerators over a common denominator to a numerator over it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# A label names a factor of an algebra, a point of a multiset or a variable of
+# a term: the DSL reads each as one token, so every label prints and parses back.
+_LABEL = r"[A-Za-z_][A-Za-z_0-9]*"
+_is_label = re.compile(_LABEL).fullmatch
 
 
 class ChainError(ValueError):

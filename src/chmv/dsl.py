@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import AlgebraError, Element, ProductAlgebra, _trusted_element, make_algebra
-from .chain import MV_KERNELS, ChainSize, LINF
+from .chain import _LABEL, MV_KERNELS, ChainSize, LINF, _is_label
 from .multiset import EMultiset, INF, Mult
 
 
@@ -49,16 +49,15 @@ class UnboundVariableError(ValueError):
     pass
 
 
-# The lexical fragments, each written once: the tokenizer and the coordinate
+# The lexical fragments, each written once (chain._LABEL, which algebras and
+# multisets check their labels by, too): the tokenizer and the coordinate
 # pattern are compiled from them.  A token that starts with one of _LABEL_START
 # is a whole _LABEL.
-_LABEL = r"[A-Za-z_][A-Za-z_0-9]*"
 _DIGIT = "[0-9]"  # ASCII only: \d also reads other scripts' digits
 _LABEL_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 _TOKEN_RE = re.compile(r"\(\+\)|\(\.\)|/\\|\\/|->|[~()\[\]{}:,*]|" + _LABEL + r"|\d+|\S")
 _END = "unexpected end of input"
-_is_label = re.compile(_LABEL).fullmatch
 
 
 def _token_start(text: str, index: int) -> int:
@@ -282,9 +281,10 @@ def parse_env(text: str, A: ProductAlgebra) -> dict[str, Element]:
 
 # --- terms ------------------------------------------------------------------
 
-# Every Term is at most MAX_TERM_DEPTH high (nodes on its longest path), which
-# keeps render, the evaluation walk and the parentheses of a compiled program
-# far below the interpreter's recursion and nesting limits.
+# The one rule on the size of a term: every Term is at most MAX_TERM_DEPTH high
+# (nodes on its longest path), checked as each node is built.  It keeps render,
+# the evaluation walk and the parentheses of a compiled program far below the
+# interpreter's recursion and nesting limits.  Parentheses in a text are free.
 MAX_TERM_DEPTH = 100
 _TOO_DEEP = f"term nests deeper than {MAX_TERM_DEPTH} levels"
 
@@ -369,19 +369,18 @@ _NOT = (-1, "~", 0)
 
 
 def parse_term(text: str) -> Term:
-    """Parse a term no deeper than MAX_TERM_DEPTH, else raise ParseError.
+    """Parse a term at most MAX_TERM_DEPTH high, else raise ParseError.
 
-    Depth counts negations, binary operators and parentheses along a path.
     One operator-precedence (shunting-yard) pass: operands wait on `out`,
     one Var per name, and `ops` holds the waiting "(", "~" and binaries,
     each "(" and binary with its token's index.  A binary first joins the
     waiting binaries of its level or tighter, so chains associate to the
     left; a "~" waits until its operand is complete.
 
-    A bad character anywhere is reported first.  The entries of `ops` above
-    its bottom are the depth of the next operand, so a "(" or binary that
-    nests too deep is reported at once.  So is a node too high, at its token:
-    the operand of a run of negations, or the operator that lengthens a chain.
+    A bad character anywhere is reported first.  Parentheses nest freely:
+    the only size rule is the height of the nodes, so a node too high is
+    reported at once, at its token: the operand of a run of negations, or
+    the operator that lengthens a chain.
     """
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # the end of the text
@@ -396,8 +395,6 @@ def parse_term(text: str) -> Term:
                 continue
             if tok == "(":
                 ops.append((-1, "(", i))
-                if len(ops) > MAX_TERM_DEPTH + 1:
-                    raise _term_error(text, tokens, _TOO_DEEP, i + 1)
                 continue
             if tok[:1] in _LABEL_START:  # such a token is a whole _LABEL
                 out.append(names.get(tok) or names.setdefault(tok, Var(tok)))
@@ -417,8 +414,6 @@ def parse_term(text: str) -> Term:
                     raise _term_error(text, tokens, _TOO_DEEP, at) from None
             if entry is not None:
                 ops.append((level, entry[1], i))
-                if len(ops) > MAX_TERM_DEPTH + 1:
-                    raise _term_error(text, tokens, _TOO_DEEP, i + 1)
                 operand = True
                 continue
             if len(ops) == 1:  # no "(" waits

@@ -18,6 +18,8 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
+from .chain import _is_label
+
 INF = float("inf")  # str(INF) == "inf", the DSL spelling, so multiplicities render with str
 
 Mult = int | float  # positive int, or INF
@@ -52,11 +54,13 @@ class EMultiset:
     points: tuple[tuple[str, Mult], ...]
 
     def __post_init__(self) -> None:
+        for lbl, m in self.points:
+            if type(lbl) is not str or not _is_label(lbl):
+                raise MultisetError(f"point label must be a label, not {lbl!r}")
+            _check_mult(m)
         labels = [lbl for lbl, _ in self.points]
         if len(set(labels)) != len(labels):
             raise MultisetError(f"duplicate point labels in {labels}")
-        for _, m in self.points:
-            _check_mult(m)
         object.__setattr__(self, "_hash", hash(self.points))
 
     def __hash__(self) -> int:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from chmv import algebra, verify
 from chmv.algebra import (
+    AlgebraError,
     AlgebraMismatchError,
     DuplicateLabelError,
     EnumerationError,
@@ -61,6 +62,23 @@ def test_make_algebra_duplicate_label():
 def test_make_algebra_bad_chain():
     with pytest.raises(ChainError):
         make_algebra([("a", ChainSize(1))])
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([(1, ChainSize(2))], "factor label must be a label, not 1"),
+        ([("a b", ChainSize(2))], "factor label must be a label, not 'a b'"),
+        ([("", LINF)], "factor label must be a label, not ''"),
+        ([("1x", LINF)], "factor label must be a label, not '1x'"),
+        ([("a", 3)], "factor a must be a ChainSize, not 3"),
+        ([("a", LINF), ("b", "L2")], "factor b must be a ChainSize, not 'L2'"),
+    ],
+)
+def test_make_algebra_refuses_what_the_dsl_cannot_read_back(spec, message):
+    with pytest.raises(AlgebraError) as info:
+        make_algebra(spec)
+    assert str(info.value) == message
 
 
 def test_pointwise_ops():

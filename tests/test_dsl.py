@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from chmv.algebra import (
     AlgebraError, ProductAlgebra, enumerate_elements, make_algebra, make_element, unit,
 )
-from chmv.chain import ChainError, ChainSize, LINF
+from chmv.chain import ChainError, ChainSize, LINF, MV_KERNELS
 from chmv.dsl import (
     BinOp,
     Const,
@@ -212,7 +212,7 @@ TOO_DEEP = "term nests deeper than 100 levels"
          15),
         (parse_algebra, "[ a : L2 , a : L2 , a : L2 ]",
          "duplicate factor labels in ['a', 'a', 'a']", 11),
-        pytest.param(parse_term, "(" * 101 + "x", TOO_DEEP, 101, id="term-too-deep"),
+        pytest.param(parse_term, "(" * 101 + "x", _END, 102, id="term-too-deep"),
         pytest.param(parse_term, "~" * 100 + "x", TOO_DEEP, 100, id="negations-too-deep"),
         pytest.param(parse_term, "~" * 101 + "x", TOO_DEEP, 101, id="negations-past-the-limit"),
         pytest.param(parse_term, "x" + " (+) x" * 100, TOO_DEEP, 596, id="chain-too-deep"),
@@ -223,7 +223,7 @@ TOO_DEEP = "term nests deeper than 100 levels"
         pytest.param(parse_term, "x" + " -> x" * 150 + " )", TOO_DEEP, 497,
                      id="chain-height-before-syntax-error"),
         pytest.param(parse_term, "(" * 101 + "x #", "unexpected character '#'", 103,
-                     id="bad-character-before-depth"),
+                     id="bad-character-past-101-parentheses"),
     ],
 )
 def test_labelled_parse_errors_keep_message_and_position(parse, text, message, position):
@@ -456,45 +456,43 @@ def test_parsers_return_what_the_token_walk_returns(drawn):
 def _walk_term(text: str) -> Term:
     """parse_term by the token walk, which reads every text and places every error."""
     cur = _Cursor(text)
-    term, _ = _parse_binary(cur, 0, 0)
+    term, _ = _parse_binary(cur, 0)
     cur.done()
     return term
 
 
 def _check_height(cur: _Cursor, height: int, at: int) -> None:
-    """Raise the depth ParseError at token at if a node this high is too high."""
+    """Raise the height ParseError at token at if a node this high is too high."""
     if height > MAX_TERM_DEPTH:
         raise ParseError(_TOO_DEEP, _token_start(cur.text, at))
 
 
-def _parse_binary(cur: _Cursor, min_level: int, depth: int) -> tuple[Term, int]:
+def _parse_binary(cur: _Cursor, min_level: int) -> tuple[Term, int]:
     """Precedence climbing over the binaries at min_level or tighter, left-associative.
 
     Each _parse_* returns the term and its height, the nodes on its longest path.
     """
-    if depth > MAX_TERM_DEPTH:
-        raise ParseError(_TOO_DEEP, cur.here())
-    left, height = _parse_unary(cur, depth)
+    left, height = _parse_unary(cur)
     while (entry := _LEVEL_OF.get(cur.peek())) is not None and entry[0] >= min_level:
         level, op = entry
         at = cur.pos
         cur.next()
-        right, right_height = _parse_binary(cur, level + 1, depth + 1)
+        right, right_height = _parse_binary(cur, level + 1)
         height = max(height, right_height) + 1
         _check_height(cur, height, at)
         left = BinOp(op, left, right)
     return left, height
 
 
-def _parse_unary(cur: _Cursor, depth: int) -> tuple[Term, int]:
+def _parse_unary(cur: _Cursor) -> tuple[Term, int]:
     negations = 0
     while cur.peek() == "~":
         cur.next()
         negations += 1
     if not negations:
-        return _parse_atom(cur, depth)
+        return _parse_atom(cur)
     at = cur.pos
-    term, height = _parse_atom(cur, depth + negations)
+    term, height = _parse_atom(cur)
     height += negations
     _check_height(cur, height, at)
     for _ in range(negations):
@@ -502,10 +500,10 @@ def _parse_unary(cur: _Cursor, depth: int) -> tuple[Term, int]:
     return term, height
 
 
-def _parse_atom(cur: _Cursor, depth: int) -> tuple[Term, int]:
+def _parse_atom(cur: _Cursor) -> tuple[Term, int]:
     tok = cur.next()
     if tok == "(":
-        inner = _parse_binary(cur, 0, depth + 1)
+        inner = _parse_binary(cur, 0)
         cur.expect(")")
         return inner
     if tok in ("0", "1"):
@@ -531,9 +529,10 @@ def term_tokens(draw):
     One time in five it is a run of "~" or a chain of one binary, 101-150
     high, then one of STRAY_PIECES: too high, with a later syntax error.
     Else it is well-formed, and three times in four a shorter term grows to
-    100, 101 or 300 tokens, around and far past the depth limit: wrapped in
-    parentheses and a "~", it nests as deep as it is long; joined with more
-    terms in parentheses, it stays far less deep than long.
+    100, 101 or 300 tokens: wrapped in parentheses and a "~", it nests as
+    deep as it is long, up to 150 parentheses, which are free, but grows at
+    most one node higher than the shorter term; joined with more terms in
+    parentheses, it stays far less deep than long.
     """
     if draw(st.integers(0, 4)) == 0:
         height = draw(st.integers(MAX_TERM_DEPTH + 1, 150))
@@ -633,7 +632,6 @@ def test_parse_term_syntax_error():
     "text",
     [
         "~" * 5000 + "x",
-        "(" * 3000 + "x" + ")" * 3000,
         " (+) ".join(["x"] * 5000),
         "x -> (" * 3000 + "x" + ")" * 3000,
     ],
@@ -641,6 +639,15 @@ def test_parse_term_syntax_error():
 def test_parse_term_too_deep(text):
     with pytest.raises(ParseError, match="deeper than"):
         parse_term(text)
+
+
+def test_parentheses_nest_freely():
+    """Parentheses build no node, so only the height bound limits them."""
+    t = parse_term("(" * 3000 + "x" + ")" * 3000)
+    assert t == Var("x")
+    A = parse_algebra("L3")
+    half = make_element(A, [Fraction(1, 2)])
+    assert eval_term(t, {"x": half}, A) == half
 
 
 def test_parse_term_at_depth_limit():
@@ -660,11 +667,12 @@ def test_parse_term_at_depth_limit():
 
 # Keywords, chain and multiplicity spellings are labels too, and so variables.
 TERM_LABELS = ["x", "y", "z", "if", "None", "lambda", "Linf", "inf", "L2", "_c", "x1"]
+leaves = st.one_of(
+    st.sampled_from([Const(0), Const(1)]),
+    st.one_of(st.sampled_from(TERM_LABELS), st.from_regex(_LABEL, fullmatch=True)).map(Var),
+)
 terms = st.recursive(
-    st.one_of(
-        st.sampled_from([Const(0), Const(1)]),
-        st.one_of(st.sampled_from(TERM_LABELS), st.from_regex(_LABEL, fullmatch=True)).map(Var),
-    ),
+    leaves,
     lambda sub: st.one_of(
         sub.map(Neg),
         st.builds(
@@ -675,9 +683,41 @@ terms = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(terms)
+@st.composite
+def high_terms(draw):
+    """A term 1 to MAX_TERM_DEPTH high: a leaf, then one step per level.
+
+    A step grows the spine one node higher: a "~" over it, or a binary with
+    it on the left or on the right of a term no higher.  The steps, the
+    binaries' operators and their other sides each cycle through a short
+    drawn list, so a pattern of steps such as ["right"], ["neg", "left"] or
+    ["neg", "right", "right"] makes a right chain, "~" alternating with a
+    left chain, and so on.  An other side higher than the spine is
+    replaced by a leaf.
+    """
+    height = draw(st.integers(1, MAX_TERM_DEPTH))
+    steps = draw(st.lists(st.sampled_from(["neg", "left", "right"]), min_size=1, max_size=4))
+    ops = draw(st.lists(st.sampled_from(list(MV_KERNELS)), min_size=1, max_size=3))
+    others = draw(st.lists(st.one_of(leaves, terms), min_size=1, max_size=3))
+    t = draw(leaves)
+    for level in range(height - 1):
+        step = steps[level % len(steps)]
+        if step == "neg":
+            t = Neg(t)
+            continue
+        other = others[level % len(others)]
+        if other.height > t.height:
+            other = Const(1)
+        op = ops[level % len(ops)]
+        t = BinOp(op, t, other) if step == "left" else BinOp(op, other, t)
+    assert t.height == height
+    return t
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(terms, high_terms()))
 def test_parse_render_round_trip_property(t):
+    """Bushy terms, and terms of every shape up to the height limit."""
     assert parse_term(render(t)) == t
 
 
@@ -900,12 +940,10 @@ def test_eval_term_gives_the_reference_on_every_evaluation(text):
     assert eval_thrice(t, env, A).coords == tuple(ref_eval(t, env, i) for i in range(2))
 
 
-# A term exactly MAX_TERM_DEPTH high in each shape.  A right chain of binaries
-# nests deeper than parse_term reads, so the right chain's high side is a
-# left chain in parentheses.
+# A term exactly MAX_TERM_DEPTH high in each shape
 RUN = parse_term("~" * (MAX_TERM_DEPTH - 1) + "x")
 LEFT_CHAIN = parse_term("x" + " (+) y" * (MAX_TERM_DEPTH - 1))
-RIGHT_CHAIN = parse_term("z -> (~x" + " (.) y" * (MAX_TERM_DEPTH - 4) + " (.) 1)")
+RIGHT_CHAIN = parse_term("x -> (" * (MAX_TERM_DEPTH - 1) + "x" + ")" * (MAX_TERM_DEPTH - 1))
 HIGHEST = {"run": RUN, "left-chain": LEFT_CHAIN, "right-chain": RIGHT_CHAIN}
 
 # The source of each call, which is also its test id

@@ -21,6 +21,20 @@ def test_multiplicity_zero_rejected():
         EMultiset((("a", 0),))
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ((("a b", 2),), "point label must be a label, not 'a b'"),
+        (((1, 2),), "point label must be a label, not 1"),
+        ((("a", 1), ("", INF)), "point label must be a label, not ''"),
+    ],
+)
+def test_labels_the_dsl_cannot_read_back_rejected(points, message):
+    with pytest.raises(MultisetError) as info:
+        EMultiset(points)
+    assert str(info.value) == message
+
+
 def test_bool_multiplicity_rejected():
     for flag in (True, False):
         with pytest.raises(MultisetError):

@@ -63,15 +63,33 @@ L3xLinf = make_algebra([("a", ChainSize(3)), ("b", LINF)])
 
 # --- the public boundary still validates ----------------------------------------
 
+# Element takes only Fractions, and names the first other coordinate;
+# make_element converts every value that Fraction() reads
+NOT_FRACTIONS = [
+    ((0.5, Fraction(0)), "coordinate 0 must be a Fraction, not 0.5"),
+    (("1/2", Fraction(0)), "coordinate 0 must be a Fraction, not '1/2'"),
+    ((Fraction(0), True), "coordinate 1 must be a Fraction, not True"),
+    ((Fraction(1), 1), "coordinate 1 must be a Fraction, not 1"),
+]
+
+
 @pytest.mark.parametrize(
     "coords, error",
     [
         ((Fraction(1, 3), Fraction(0)), ChainError),  # off the L3 grid
         ((Fraction(0), Fraction(3, 2)), ChainError),  # outside [0, 1]
         ((Fraction(0),), AlgebraError),  # too few coordinates
-    ],
+    ] + NOT_FRACTIONS,
 )
 def test_element_and_make_element_reject(coords, error):
+    if isinstance(error, str):  # a coordinate that is no Fraction
+        with pytest.raises(AlgebraError) as info:
+            Element(L3xLinf, coords)
+        assert str(info.value) == error
+        made = make_element(L3xLinf, coords)
+        assert made.coords == tuple(map(Fraction, coords))
+        assert all(type(v) is Fraction for v in made.coords)
+        return
     with pytest.raises(error):
         Element(L3xLinf, coords)
     with pytest.raises(error):
