@@ -1,10 +1,10 @@
 """Finite-index products of Lukasiewicz chains.
 
-An algebra is an ordered list of labelled factors; its elements are
-coordinate tuples.  Ideals of such products are supported-coordinate
-ideals I_D.  Two brute-force oracles (subset scan for ideals, filtered
-map enumeration for homomorphisms) only search; the verification suites
-compare what they find with the structural shortcuts used elsewhere.
+An algebra is an ordered list of labelled factors (on chain.LabelledPairs);
+its elements are coordinate tuples.  Ideals of such products are support
+ideals I_D.  Two brute-force oracles (subset scan for ideals, filtered map
+enumeration for homomorphisms) only search, and read nothing but their Cayley
+tables; the verification suites compare what they find with the shortcuts.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .chain import _ONE, _ZERO, MV_KERNELS, ChainSize, _is_label, check_member, mv_op
+from .chain import _ONE, _ZERO, MV_KERNELS, ChainSize, LabelledPairs, check_member, mv_op
 
 DEFAULT_ENUM_BOUND = 10 ** 6
 IDEAL_SCAN_LIMIT = 16
@@ -47,33 +47,18 @@ class EnumerationError(AlgebraError):
 
 
 @dataclass(frozen=True)
-class ProductAlgebra:
+class ProductAlgebra(LabelledPairs):
     """A product of chains, one labelled factor per coordinate."""
 
     factors: tuple[tuple[str, ChainSize], ...]
 
-    def __post_init__(self) -> None:
-        for lbl, c in self.factors:
-            if type(lbl) is not str or not _is_label(lbl):
-                raise AlgebraError(f"factor label must be a label, not {lbl!r}")
-            if not isinstance(c, ChainSize):
-                raise AlgebraError(f"factor {lbl} must be a ChainSize, not {c!r}")
-        labels = [lbl for lbl, _ in self.factors]
-        if len(set(labels)) != len(labels):
-            raise DuplicateLabelError(f"duplicate factor labels in {labels}")
-        object.__setattr__(self, "_hash", hash(self.factors))
+    __hash__ = LabelledPairs.__hash__
+    _pairs, _word, _error, _repeated = "factors", "factor", AlgebraError, DuplicateLabelError
 
-    def __hash__(self) -> int:
-        """The hash stored at construction: functor-cache lookups skip the nested tuple."""
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild through the constructor: string hashes differ between processes
-        return ProductAlgebra, (self.factors,)
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, _ in self.factors)
+    @staticmethod
+    def _check(lbl: str, c: ChainSize) -> None:
+        if not isinstance(c, ChainSize):
+            raise AlgebraError(f"factor {lbl} must be a ChainSize, not {c!r}")
 
     @cached_property
     def positions(self) -> dict[str, int]:
@@ -102,7 +87,7 @@ class ProductAlgebra:
 
 def make_algebra(spec: Iterable[tuple[str, ChainSize]]) -> ProductAlgebra:
     """Validate a (label, chain) list into an algebra; [] gives the one-element algebra."""
-    return ProductAlgebra(tuple(spec))
+    return ProductAlgebra(spec)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,6 +98,7 @@ class Element:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        _set_coords(self, tuple(self.coords))
         if len(self.coords) != len(self.algebra.factors):
             raise AlgebraError(
                 f"expected {len(self.algebra.factors)} coordinates, got {len(self.coords)}"
@@ -160,7 +146,7 @@ def _trusted_element(A: ProductAlgebra, coords: tuple[Fraction, ...]) -> Element
 
 def make_element(A: ProductAlgebra, coords: Iterable) -> Element:
     """An element of A; a coordinate that is already a Fraction is kept as it is."""
-    return Element(A, tuple(v if type(v) is Fraction else Fraction(v) for v in coords))
+    return Element(A, (v if type(v) is Fraction else Fraction(v) for v in coords))
 
 
 def zero(A: ProductAlgebra) -> Element:
@@ -236,6 +222,7 @@ class SupportIdeal:
     free: frozenset[str]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "free", frozenset(self.free))
         unknown = self.free - set(self.algebra.labels)
         if unknown:
             raise UnknownLabelError(f"labels {sorted(unknown)} not in the algebra")
@@ -348,13 +335,10 @@ def brute_force_ideals(A: ProductAlgebra) -> list[frozenset[Element]]:
     n = _enumerable_size(A)
     if n > IDEAL_SCAN_LIMIT:
         raise EnumerationError(f"{n} elements exceed the subset-scan limit {IDEAL_SCAN_LIMIT}")
-    elems, opl, _ = _op_tables(A)
-    # bitmask of elements below each element (each element is below itself)
-    down = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if all(b <= a for a, b in zip(elems[i].coords, elems[j].coords)):
-                down[i] |= 1 << j
+    elems, opl, neg = _op_tables(A)
+    # bitmask of the elements below each element: j <= i exactly when
+    # ~j (+) i is 1, which is element n - 1 (each element is below itself)
+    down = [sum(1 << j for j in range(n) if opl[neg[j]][i] == n - 1) for i in range(n)]
     # a subset is down-closed exactly when the union of its members' down
     # sets is the subset itself; tabulate that union for every subset of the
     # low and of the high half of the indices
@@ -381,9 +365,7 @@ def ideal_elements(I: SupportIdeal) -> frozenset[Element]:
     )
 
 
-def brute_force_homs(
-    A: ProductAlgebra, B: ProductAlgebra, bound: int = DEFAULT_ENUM_BOUND
-) -> list[dict[Element, Element]]:
+def brute_force_homs(A: ProductAlgebra, B: ProductAlgebra) -> list[dict[Element, Element]]:
     """All MV-homomorphisms A -> B as full element tables.
 
     A map is a homomorphism when it preserves 0, negation, and the
@@ -391,8 +373,8 @@ def brute_force_homs(
     checked as soon as all participating elements are assigned.
     """
     n, m = _enumerable_size(A), _enumerable_size(B)
-    if m ** n > bound:
-        raise EnumerationError(f"{m}^{n} candidate maps exceed the bound {bound}")
+    if m ** n > DEFAULT_ENUM_BOUND:
+        raise EnumerationError(f"{m}^{n} candidate maps exceed the bound {DEFAULT_ENUM_BOUND}")
     ea, opl_a, neg_a = _op_tables(A)
     eb, opl_b, neg_b = _op_tables(B)
     # constraints that become checkable when index i is the last one assigned

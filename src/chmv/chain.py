@@ -6,6 +6,8 @@ Chain elements are plain Fractions (always in lowest terms, so equality is
 structural); check_member says whether a Fraction lies in a given chain.
 The MV operations run on integers: MV_KERNELS holds one kernel for each binary
 operation, taking numerators over a common denominator to a numerator over it.
+LabelledPairs is the constructor core that algebra.ProductAlgebra (labelled
+chains) and multiset.EMultiset (labelled multiplicities) share.
 """
 
 from __future__ import annotations
@@ -21,6 +23,36 @@ _ONE = Fraction(1)
 # a term: the DSL reads each as one token, so every label prints and parses back.
 _LABEL = r"[A-Za-z_][A-Za-z_0-9]*"
 _is_label = re.compile(_LABEL).fullmatch
+
+
+@dataclass(frozen=True)
+class LabelledPairs:
+    """The core of ProductAlgebra and EMultiset: (label, value) pairs, each label once.
+
+    A subclass names its pairs field (_pairs), its word for a label (_word),
+    the errors for a bad pair and a repeated label (_error, _repeated) and
+    _check, which raises unless a value fits.  The pairs are stored as a
+    tuple, with their labels and their hash, which a subclass must take as
+    its __hash__ explicitly: a frozen dataclass writes its own.
+    """
+
+    def __post_init__(self) -> None:
+        pairs, check = tuple(getattr(self, self._pairs)), self._check
+        for lbl, value in pairs:
+            if type(lbl) is not str or not _is_label(lbl):
+                raise self._error(f"{self._word} label must be a label, not {lbl!r}")
+            check(lbl, value)
+        labels = [lbl for lbl, _ in pairs]
+        if len(set(labels)) != len(labels):
+            raise self._repeated(f"duplicate {self._word} labels in {labels}")
+        self.__dict__.update({self._pairs: pairs, "labels": tuple(labels), "_hash": hash(pairs)})
+
+    def __hash__(self) -> int:  # stored: functor-cache lookups skip the nested tuple
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: string hashes differ between processes
+        return type(self), (getattr(self, self._pairs),)
 
 
 class ChainError(ValueError):

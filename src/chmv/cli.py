@@ -178,15 +178,16 @@ class _Listing:
 
 
 def _dumps(obj, pad: str = "\n") -> str:
-    """`json.dumps(obj, indent=2, default=str)`, byte for byte, each newline replaced by `pad`.
+    """`json.dumps(obj, indent=2)`, byte for byte, each newline replaced by `pad`.
 
-    Written out for the shapes the commands return (dicts with str keys,
+    Written out for the shapes the commands return: dicts with str keys,
     lists, str, int, bool, None, and list mode's _Listing, written as its
-    list of dicts), because `indent` sends json.dumps to its pure-Python
-    encoder before Python 3.13.  The one emitter for every version: the C
-    encoder would need a `default` hook to expand a _Listing.  Anything else
-    goes to json.dumps.  _write puts the pieces in one list, joined once
-    here, so a listing's text is copied once, not once per level of nesting.
+    list of dicts.  `indent` sends json.dumps to its pure-Python encoder
+    before Python 3.13, and the C encoder would need a `default` hook to
+    expand a _Listing, so this is the one emitter for every version.  Any
+    other type, or a key that is no str, raises TypeError.  _write puts the
+    pieces in one list, joined once here, so a listing's text is copied
+    once, not once per level of nesting.
     """
     out: list[str] = []
     _write(obj, pad, out)
@@ -219,24 +220,19 @@ def _write(obj, pad: str, out: list[str]) -> None:
                 _write(v, inner, out)
             sep = "," + inner
         out.append(pad + "]")
-    else:
-        if kind is dict:
-            inner, mark = pad + "  ", len(out)
-            sep = "{" + inner
-            for k, v in obj.items():
-                if type(k) is not str:  # json.dumps spells other keys its own way
-                    del out[mark:]
-                    break
-                if type(v) is str:
-                    out.append(f"{sep}{_quote(k)}: {_quote(v)}")
-                else:
-                    out.append(f"{sep}{_quote(k)}: ")
-                    _write(v, inner, out)
-                sep = "," + inner
+    elif kind is dict:
+        inner = pad + "  "
+        sep = "{" + inner
+        for k, v in obj.items():  # _quote raises TypeError for a key that is no str
+            if type(v) is str:
+                out.append(f"{sep}{_quote(k)}: {_quote(v)}")
             else:
-                out.append(pad + "}")
-                return
-        out.append(json.dumps(obj, indent=2, default=str).replace("\n", pad))
+                out.append(f"{sep}{_quote(k)}: ")
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"cannot write a {kind.__name__} as JSON")
 
 
 def _emit(result: CommandResult, fmt: str) -> None:

@@ -82,6 +82,7 @@ def _check_characters(text: str, tokens: list[str]) -> None:
 # accepted object prints and parses back.
 MAX_DIGITS = 4300
 DIGITS_BOUND = 10 ** MAX_DIGITS
+_MULT_BOUND = DIGITS_BOUND - 1  # once: a 4,300-digit subtraction outweighs a cold read
 _CHAIN_LIMIT = f"chain size must be below 10^{MAX_DIGITS}"
 _MULT_LIMIT = f"multiplicity must be below 10^{MAX_DIGITS} - 1"
 TOO_LONG = f"numerator or denominator longer than {MAX_DIGITS} digits"
@@ -118,7 +119,7 @@ def _mult(tok: str) -> Mult:
         return INF
     if not (tok.isascii() and tok.isdecimal()):  # \d+ also reads other scripts' digits
         raise ValueError(f"expected a multiplicity or 'inf', found {tok!r}")
-    m = _below(tok, DIGITS_BOUND - 1, ValueError, _MULT_LIMIT)
+    m = _below(tok, _MULT_BOUND, ValueError, _MULT_LIMIT)
     if m < 1:
         raise ValueError("multiplicity must be at least 1")
     return m
@@ -179,7 +180,7 @@ def _read(text: str, value: Callable[[str], object], brackets: str, build: Calla
         _check_characters(text, tokens)
         raise ParseError(str(exc) if tokens[i] else _END, _token_start(text, i)) from None
     try:
-        return build(tuple(entries))
+        return build(entries)
     except ValueError as exc:  # a repeated label
         raise ParseError(str(exc), _repeated_label(text, entries)) from None
 
@@ -273,7 +274,7 @@ def parse_env(text: str, A: ProductAlgebra) -> dict[str, Element]:
             body = body[1:-1]
         parts = [p.strip() for p in body.split(",")] if body else []
         try:
-            env[name] = Element(A, tuple([_parse_coordinate(p) for p in parts]))
+            env[name] = Element(A, [_parse_coordinate(p) for p in parts])
         except ValueError as exc:
             raise ValueError(f"binding {name!r}: {exc}") from None
     return env

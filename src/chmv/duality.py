@@ -89,7 +89,7 @@ continuous_hom_count = ContinuousHom.count
 def make_hom(
     source: ProductAlgebra, target: ProductAlgebra, index_map: Mapping[str, str]
 ) -> ContinuousHom:
-    return ContinuousHom(source, target, tuple(index_map.items()))
+    return ContinuousHom(source, target, index_map.items())
 
 
 def projection(A: ProductAlgebra, label: str) -> ContinuousHom:
@@ -122,11 +122,7 @@ def element_map(h: ContinuousHom) -> dict[Element, Element]:
 @lru_cache(maxsize=FUNCTOR_CACHE_SIZE)
 def F_obj(X: EMultiset) -> ProductAlgebra:
     """Multiset point of multiplicity s becomes a chain factor of size s + 1."""
-    return ProductAlgebra(
-        tuple(
-            (lbl, LINF if m == INF else ChainSize(m + 1)) for lbl, m in X.points
-        )
-    )
+    return ProductAlgebra((lbl, LINF if m == INF else ChainSize(m + 1)) for lbl, m in X.points)
 
 
 def F_mor(phi: EMMorphism) -> ContinuousHom:
@@ -137,9 +133,7 @@ def F_mor(phi: EMMorphism) -> ContinuousHom:
 @lru_cache(maxsize=FUNCTOR_CACHE_SIZE)
 def H_obj(A: ProductAlgebra) -> EMultiset:
     """A chain factor of size n becomes a point of multiplicity n - 1."""
-    return EMultiset(
-        tuple((lbl, INF if not c.is_finite else c.n - 1) for lbl, c in A.factors)
-    )
+    return EMultiset((lbl, INF if not c.is_finite else c.n - 1) for lbl, c in A.factors)
 
 
 def H_mor(psi: ContinuousHom) -> EMMorphism:

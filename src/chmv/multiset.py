@@ -18,7 +18,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chain import _is_label
+from .chain import LabelledPairs
 
 INF = float("inf")  # str(INF) == "inf", the DSL spelling, so multiplicities render with str
 
@@ -48,32 +48,14 @@ def mult_divides(m: Mult, s: Mult) -> bool:
 
 
 @dataclass(frozen=True)
-class EMultiset:
+class EMultiset(LabelledPairs):
     """A finite labelled multiset with multiplicities in {1, 2, ...} or inf."""
 
     points: tuple[tuple[str, Mult], ...]
 
-    def __post_init__(self) -> None:
-        for lbl, m in self.points:
-            if type(lbl) is not str or not _is_label(lbl):
-                raise MultisetError(f"point label must be a label, not {lbl!r}")
-            _check_mult(m)
-        labels = [lbl for lbl, _ in self.points]
-        if len(set(labels)) != len(labels):
-            raise MultisetError(f"duplicate point labels in {labels}")
-        object.__setattr__(self, "_hash", hash(self.points))
-
-    def __hash__(self) -> int:
-        """The hash stored at construction: functor-cache lookups skip the nested tuple."""
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild through the constructor: string hashes differ between processes
-        return EMultiset, (self.points,)
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, _ in self.points)
+    __hash__ = LabelledPairs.__hash__
+    _pairs, _word, _error, _repeated = "points", "point", MultisetError, MultisetError
+    _check = staticmethod(lambda lbl, m: _check_mult(m))
 
     @cached_property
     def mults(self) -> dict[str, Mult]:
@@ -96,7 +78,7 @@ class LabelledMap:
 
     def __post_init__(self) -> None:
         dom, cod = self._sides(self.source, self.target)
-        pairs = getattr(self, self._pairs)
+        pairs = tuple(getattr(self, self._pairs))
         as_dict = dict(pairs)
         if set(as_dict) != set(dom.labels) or len(as_dict) != len(pairs):
             raise self._error(self._total)

@@ -67,7 +67,7 @@ def multiset_family(max_points=3, mults=(1, 2, 3, 4, 6, ms.INF)) -> list[ms.EMul
     out = []
     for k in range(max_points + 1):
         for combo in itertools.combinations_with_replacement(mults, k):
-            out.append(ms.EMultiset(tuple(zip("abcd", combo))))
+            out.append(ms.EMultiset(zip("abcd", combo)))
     return out
 
 
@@ -177,7 +177,7 @@ def suite_hom_oracle(bound=10 ** 6) -> SuiteResult:
     for A, B in itertools.product(family, repeat=2):
         if B.size ** A.size > bound:
             continue
-        brute = {_canonical_map(t) for t in alg.brute_force_homs(A, B, bound)}
+        brute = {_canonical_map(t) for t in alg.brute_force_homs(A, B)}
         induced = {
             _canonical_map(dual.element_map(h))
             for h in dual.enumerate_continuous_homs(A, B)
@@ -423,7 +423,7 @@ def suite_predicates() -> SuiteResult:
         for m, c in entries.items():
             for _ in range(3 if c == ms.INF else int(c)):
                 points.append((next(it), m))
-        X = ms.EMultiset(tuple(points))
+        X = ms.EMultiset(points)
         rec.check(
             st.is_projective(P) == st.injective_in_EM(X),
             lambda: f"projective iff dual injective: {entries}",

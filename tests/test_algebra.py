@@ -1,5 +1,7 @@
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,12 +278,33 @@ def test_brute_force_homs_counts():
 
 def test_brute_force_homs_bound():
     algebra._op_tables.cache_clear()
+    L2_4 = make_algebra([(f"x{i}", ChainSize(2)) for i in range(4)])
     L3 = make_algebra([("x", ChainSize(3))])
-    with pytest.raises(EnumerationError, match=r"3\^3 candidate maps exceed the bound 8"):
-        brute_force_homs(L3, L3, bound=8)
+    with pytest.raises(EnumerationError, match=r"^3\^16 candidate maps exceed the bound 1000000$"):
+        brute_force_homs(L2_4, L3)
     with pytest.raises(EnumerationError, match="infinite factor"):
         brute_force_homs(L3, make_algebra([("x", LINF)]))
     assert algebra._op_tables.cache_info().currsize == 0  # refused before any table
+
+
+ORACLE_CODE = ("_op_tables", "_union_table", "brute_force_ideals", "brute_force_homs")
+SHORTCUTS = {
+    "leq_elem", "pointwise_op", "mv_op", "check_member", "SupportIdeal", "maximal_ideals",
+    "principal_ideal", "ideal_membership", "ideal_elements", "ideal_sup", "characteristic",
+    "chain_subset",
+}
+
+
+def test_oracles_read_only_enumeration_and_cayley_tables():
+    """The oracles judge the shortcuts, so they name none and read no coordinates."""
+    tree = ast.parse(Path(algebra.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ORACLE_CODE:
+        for node in ast.walk(functions[name]):
+            attr = node.attr if isinstance(node, ast.Attribute) else None
+            named = node.id if isinstance(node, ast.Name) else attr
+            assert attr != "coords", f"{name} reads .coords at line {node.lineno}"
+            assert named not in SHORTCUTS, f"{name} names {named} at line {node.lineno}"
 
 
 def test_oracles_share_one_set_of_cayley_tables_per_algebra():

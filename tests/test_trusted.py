@@ -5,7 +5,8 @@ hom and morphism the library derives from valid ones passes full validation
 when rebuilt through the public class, and equals and hashes like its rebuild,
 so it lists its pairs in the canonical order the public class gives them.
 Algebras and multisets store their hash, and a used hom caches a local
-function, so copies and pickles rebuild them through the constructor.
+function, so copies and pickles rebuild them through the constructor.  The
+constructors store a tuple (a frozenset for a support ideal) of any iterable.
 """
 
 import copy
@@ -24,6 +25,8 @@ from hypothesis import given, settings, strategies as st
 from chmv.algebra import (
     AlgebraError,
     Element,
+    ProductAlgebra,
+    SupportIdeal,
     characteristic,
     enumerate_elements,
     make_algebra,
@@ -252,11 +255,32 @@ def used_hom():
 MAPS = [used_hom(), next(enumerate_morphisms(EMultiset((("a", 2),)), EMultiset((("b", 1),))))]
 
 
-@pytest.mark.parametrize("obj", HASHED + MAPS, ids=repr)
-def test_copies_keep_equality_and_hash(obj):
+A = HASHED[0]
+# the constructors store a tuple of any iterable (a frozenset for a support ideal),
+# so a list, a set or an iterator builds the object that a tuple or a frozenset builds
+OTHER_ITERABLES = [
+    ("ProductAlgebra from a list", ProductAlgebra([("x1", ChainSize(3)), ("x2", LINF)]), A),
+    ("EMultiset from a list", EMultiset([("a", 2), ("b", INF)]), HASHED[2]),
+    ("Element from a list", Element(A, [Fraction(1, 2), Fraction(0)]),
+     Element(A, (Fraction(1, 2), Fraction(0)))),
+    ("SupportIdeal from a set", SupportIdeal(A, {"x1"}), SupportIdeal(A, frozenset({"x1"}))),
+    ("ContinuousHom from an iterator",
+     ContinuousHom(MAPS[0].source, MAPS[0].target, iter(MAPS[0].index_map)), MAPS[0]),
+    ("EMMorphism from an iterator",
+     EMMorphism(MAPS[1].source, MAPS[1].target, iter(MAPS[1].mapping)), MAPS[1]),
+]
+
+
+@pytest.mark.parametrize(
+    "obj, like",
+    [pytest.param(obj, obj, id=repr(obj)) for obj in HASHED + MAPS]
+    + [pytest.param(obj, like, id=name) for name, obj, like in OTHER_ITERABLES],
+)
+def test_copies_keep_equality_and_hash(obj, like):
+    assert obj == like and hash(obj) == hash(like)
     for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
-        assert clone == obj and hash(clone) == hash(obj)
-        assert {obj: True}[clone]
+        assert clone == like and hash(clone) == hash(like)
+        assert {like: True}[clone]
 
 
 def test_pickles_from_another_hash_seed_are_found_as_keys():
