@@ -2,9 +2,10 @@
 
 An algebra is an ordered list of labelled factors (on chain.LabelledPairs);
 its elements are coordinate tuples.  Ideals of such products are support
-ideals I_D.  Two brute-force oracles (subset scan for ideals, filtered map
-enumeration for homomorphisms) only search, and read nothing but their Cayley
-tables; the verification suites compare what they find with the shortcuts.
+ideals I_D.  The two brute-force oracles are two calls of one search over
+Cayley tables (_table_maps: ideals as maps onto {0, 1}, homomorphisms as maps
+into B); they read nothing else, and the verification suites compare what
+they find with the shortcuts.
 """
 
 from __future__ import annotations
@@ -145,7 +146,11 @@ def _trusted_element(A: ProductAlgebra, coords: tuple[Fraction, ...]) -> Element
 
 
 def make_element(A: ProductAlgebra, coords: Iterable) -> Element:
-    """An element of A; a coordinate that is already a Fraction is kept as it is."""
+    """An element of A; a Fraction coordinate is kept as it is, a float must be finite."""
+    coords = tuple(coords)
+    for i, v in enumerate(coords):
+        if isinstance(v, float) and not math.isfinite(v):  # Fraction() cannot read it
+            raise AlgebraError(f"coordinate {i} must be a finite number, not {v!r}")
     return Element(A, (v if type(v) is Fraction else Fraction(v) for v in coords))
 
 
@@ -240,9 +245,7 @@ def principal_ideal(a: Element) -> SupportIdeal:
 def ideal_membership(f: Element, I: SupportIdeal) -> bool:
     if f.algebra != I.algebra:
         raise AlgebraMismatchError("element and ideal belong to different algebras")
-    return all(
-        v == _ZERO for lbl, v in zip(f.algebra.labels, f.coords) if lbl not in I.free
-    )
+    return all(v == _ZERO for lbl, v in zip(f.algebra.labels, f.coords) if lbl not in I.free)
 
 
 def ideal_sup(I: SupportIdeal) -> Element:
@@ -295,8 +298,8 @@ def _op_tables(
     coordinate k being d_k / (n_k - 1).  So the sum of elements with digits
     a and b has index sum_k min(a_k + b_k, n_k - 1) * stride_k, the negation
     of element i is element n - 1 - i, and 0 is element 0.  Built once per
-    algebra and shared by both oracles, as tuples so that no caller can
-    change the cached tables.
+    algebra and read by _table_maps and both oracles, as tuples so that no
+    caller can change the cached tables.
     """
     elems = tuple(enumerate_elements(A))
     radices = [c.n for _, c in A.factors]
@@ -314,103 +317,74 @@ def _op_tables(
     return elems, opl, tuple(reversed(range(len(elems))))
 
 
-def _union_table(sets: list[int]) -> list[int]:
-    """For each bitmask over the given sets, the union of the sets it selects."""
-    table = [0] * (1 << len(sets))
-    for mask in range(1, len(table)):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | sets[low.bit_length() - 1]
-    return table
+def _table_maps(
+    A: ProductAlgebra, table: tuple[tuple[int, ...], ...], zero: int, neg: tuple | None = None
+) -> list[tuple[int, ...]]:
+    """Every map h from A's element indices to the indices of table that solves
+    h(0) = zero, h(x (+) y) = table[h(x)][h(y)] and, when neg is given,
+    h(~x) = neg[h(x)].
+
+    The search assigns the indices in enumeration order and tries the values
+    in increasing order, so the maps come in itertools.product order.  Each
+    equation is checked once, when the last of its indices is assigned.
+    """
+    elems, opl, neg_a = _op_tables(A)
+    n, m = len(elems), len(table)
+    # each equation as (op, x, y, z) for h(z) = op[h(x)][h(y)], filed under its last
+    # index: x <= y, as (+) is commutative, and h(~y) = neg[h(y)] with op[a][b] = neg[b]
+    eqs: list[list[tuple]] = [[] for _ in range(n)]
+    for x, y in itertools.combinations_with_replacement(range(n), 2):
+        eqs[max(y, opl[x][y])].append((table, x, y, opl[x][y]))
+    for y in range(n) if neg is not None else ():
+        eqs[max(y, neg_a[y])].append(((neg,) * m, y, y, neg_a[y]))
+    h, maps = [zero] * n, []
+
+    def search(i: int) -> None:
+        if i == n:
+            maps.append(tuple(h))
+            return
+        for h[i] in range(m) if i else (zero,):  # 0 is element 0
+            for op, x, y, z in eqs[i]:
+                if op[h[x]][h[y]] != h[z]:
+                    break
+            else:
+                search(i + 1)
+
+    search(0)
+    del search  # it refers to itself: break the cycle, so the tables go when the call ends
+    return maps
 
 
 def brute_force_ideals(A: ProductAlgebra) -> list[frozenset[Element]]:
-    """All ideals of a small all-finite algebra, found by scanning subsets.
+    """All ideals of a small all-finite algebra, one per map of _table_maps
+    onto the meet table of {0, 1} with 0 sent to 1: the map is 1 on the ideal.
 
-    An ideal is a subset containing 0, downward closed, and closed under
-    the truncated sum.  The oracle visits every one of the 2^n subsets;
-    its down-closure test is two table lookups per subset.  It only
-    scans: the ideal-oracle suite checks that what it finds equals the
-    set of support ideals I_D.
+    A set I holding 0 is an ideal (closed downward and under (+)) exactly when
+    x (+) y is in I iff x and y are: x and y lie below x (+) y, and y <= x in
+    I gives x = y (+) (x (.) ~y).  The ideal-oracle suite checks what this
+    finds against the support ideals I_D.
     """
     n = _enumerable_size(A)
     if n > IDEAL_SCAN_LIMIT:
         raise EnumerationError(f"{n} elements exceed the subset-scan limit {IDEAL_SCAN_LIMIT}")
-    elems, opl, neg = _op_tables(A)
-    # bitmask of the elements below each element: j <= i exactly when
-    # ~j (+) i is 1, which is element n - 1 (each element is below itself)
-    down = [sum(1 << j for j in range(n) if opl[neg[j]][i] == n - 1) for i in range(n)]
-    # a subset is down-closed exactly when the union of its members' down
-    # sets is the subset itself; tabulate that union for every subset of the
-    # low and of the high half of the indices
-    half = n // 2
-    lo_mask = (1 << half) - 1
-    lo, hi = _union_table(down[:half]), _union_table(down[half:])
-    found = []
-    for mask in range(1 << n):
-        if not mask & 1:  # 0 is element 0
-            continue
-        if lo[mask & lo_mask] | hi[mask >> half] != mask:
-            continue
-        members = [i for i in range(n) if mask >> i & 1]
-        if any(not mask >> opl[i][j] & 1 for i in members for j in members):
-            continue
-        found.append(frozenset(elems[i] for i in members))
-    return found
+    elems = _op_tables(A)[0]
+    return [frozenset(itertools.compress(elems, h)) for h in _table_maps(A, ((0, 0), (0, 1)), 1)]
 
 
 def ideal_elements(I: SupportIdeal) -> frozenset[Element]:
     """Materialize a support ideal of an all-finite algebra as an element set."""
-    return frozenset(
-        e for e in enumerate_elements(I.algebra) if ideal_membership(e, I)
-    )
+    return frozenset(e for e in enumerate_elements(I.algebra) if ideal_membership(e, I))
 
 
 def brute_force_homs(A: ProductAlgebra, B: ProductAlgebra) -> list[dict[Element, Element]]:
     """All MV-homomorphisms A -> B as full element tables.
 
     A map is a homomorphism when it preserves 0, negation, and the
-    truncated sum; the search backtracks over images with the constraints
-    checked as soon as all participating elements are assigned.
+    truncated sum: _table_maps with B's tables, in itertools.product order.
     """
     n, m = _enumerable_size(A), _enumerable_size(B)
     if m ** n > DEFAULT_ENUM_BOUND:
         raise EnumerationError(f"{m}^{n} candidate maps exceed the bound {DEFAULT_ENUM_BOUND}")
-    ea, opl_a, neg_a = _op_tables(A)
+    ea = _op_tables(A)[0]
     eb, opl_b, neg_b = _op_tables(B)
-    # constraints that become checkable when index i is the last one assigned
-    sum_with = [
-        [(j, opl_a[i][j]) for j in range(i + 1) if opl_a[i][j] <= i] for i in range(n)
-    ]
-    sum_into = [
-        [(p, q) for p in range(i) for q in range(p, i) if opl_a[p][q] == i]
-        for i in range(n)
-    ]
-    h = [-1] * n
-    homs: list[dict[Element, Element]] = []
-
-    def admissible(i: int, v: int) -> bool:
-        if i == 0 and v != 0:  # 0 is element 0 of both algebras
-            return False
-        k = neg_a[i]
-        if k <= i and neg_b[v] != (v if k == i else h[k]):
-            return False
-        for j, k2 in sum_with[i]:
-            if opl_b[v][v if j == i else h[j]] != (v if k2 == i else h[k2]):
-                return False
-        for p, q in sum_into[i]:
-            if opl_b[h[p]][h[q]] != v:
-                return False
-        return True
-
-    def search(i: int) -> None:
-        if i == n:
-            homs.append({ea[j]: eb[h[j]] for j in range(n)})
-            return
-        for v in range(m):
-            if admissible(i, v):
-                h[i] = v
-                search(i + 1)
-        h[i] = -1
-
-    search(0)
-    return homs
+    return [dict(zip(ea, map(eb.__getitem__, h))) for h in _table_maps(A, opl_b, 0, neg_b)]

@@ -32,19 +32,22 @@ class LabelledPairs:
     A subclass names its pairs field (_pairs), its word for a label (_word),
     the errors for a bad pair and a repeated label (_error, _repeated) and
     _check, which raises unless a value fits.  The pairs are stored as a
-    tuple, with their labels and their hash, which a subclass must take as
-    its __hash__ explicitly: a frozen dataclass writes its own.
+    tuple of (label, value) tuples, whatever iterables they came as, with
+    their labels and their hash, which a subclass must take as its __hash__
+    explicitly: a frozen dataclass writes its own.
     """
 
     def __post_init__(self) -> None:
-        pairs, check = tuple(getattr(self, self._pairs)), self._check
-        for lbl, value in pairs:
+        pairs, check = [], self._check
+        for lbl, value in getattr(self, self._pairs):
             if type(lbl) is not str or not _is_label(lbl):
                 raise self._error(f"{self._word} label must be a label, not {lbl!r}")
             check(lbl, value)
+            pairs.append((lbl, value))
         labels = [lbl for lbl, _ in pairs]
         if len(set(labels)) != len(labels):
             raise self._repeated(f"duplicate {self._word} labels in {labels}")
+        pairs = tuple(pairs)
         self.__dict__.update({self._pairs: pairs, "labels": tuple(labels), "_hash": hash(pairs)})
 
     def __hash__(self) -> int:  # stored: functor-cache lookups skip the nested tuple

@@ -88,8 +88,8 @@ _MULT_LIMIT = f"multiplicity must be below 10^{MAX_DIGITS} - 1"
 TOO_LONG = f"numerator or denominator longer than {MAX_DIGITS} digits"
 
 
-def _below(digits: str, bound: int, error: Callable[[str], Exception], message: str) -> int:
-    """The value of a run of ASCII digits below bound; else raises error(message).
+def _below(digits: str, bound: int, message: str) -> int:
+    """The value of a run of ASCII digits below bound; else raises ValueError(message).
 
     Chain sizes, multiplicities and coordinates read their numbers here.
     Leading zeros are dropped first, as int() counts them against its limit.
@@ -97,7 +97,7 @@ def _below(digits: str, bound: int, error: Callable[[str], Exception], message: 
     digits = digits.lstrip("0") or "0"
     value = int(digits) if len(digits) <= MAX_DIGITS else bound
     if value >= bound:
-        raise error(message)
+        raise ValueError(message)
     return value
 
 
@@ -110,7 +110,7 @@ def _chain(tok: str) -> ChainSize:
     digits = tok[1:]
     if tok[:1] != "L" or not (digits.isascii() and digits.isdecimal()):
         raise ValueError(f"expected a chain like L3 or Linf, found {tok!r}")
-    return ChainSize(_below(digits, DIGITS_BOUND, ValueError, _CHAIN_LIMIT))
+    return ChainSize(_below(digits, DIGITS_BOUND, _CHAIN_LIMIT))
 
 
 @lru_cache(maxsize=1024)
@@ -119,7 +119,7 @@ def _mult(tok: str) -> Mult:
         return INF
     if not (tok.isascii() and tok.isdecimal()):  # \d+ also reads other scripts' digits
         raise ValueError(f"expected a multiplicity or 'inf', found {tok!r}")
-    m = _below(tok, _MULT_BOUND, ValueError, _MULT_LIMIT)
+    m = _below(tok, _MULT_BOUND, _MULT_LIMIT)
     if m < 1:
         raise ValueError("multiplicity must be at least 1")
     return m
@@ -243,10 +243,10 @@ def _parse_coordinate(text: str) -> Fraction:
         raise ValueError(f"coordinate {text!r} is not an integer, p/q or a decimal")
     sign, whole, den, decimals = m.groups("")
     decimals = decimals.rstrip("0")
-    num = _below(whole + decimals, DIGITS_BOUND, ValueError, TOO_LONG)
+    num = _below(whole + decimals, DIGITS_BOUND, TOO_LONG)
     if len(decimals) >= 2 * MAX_DIGITS:
         raise ValueError(TOO_LONG)
-    q = _below(den, DIGITS_BOUND, ValueError, TOO_LONG) if den else 10 ** len(decimals)
+    q = _below(den, DIGITS_BOUND, TOO_LONG) if den else 10 ** len(decimals)
     if not q:
         raise ValueError(f"zero denominator in {text!r}")
     value = Fraction(-num if sign == "-" else num, q)

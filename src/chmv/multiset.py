@@ -193,13 +193,14 @@ class Profile:
     entries: tuple[tuple[Mult, Mult], ...]
 
     def __post_init__(self) -> None:
-        mults = [m for m, _ in self.entries]
+        entries = [(m, c) for m, c in self.entries]  # read once, as (mult, card) tuples
+        mults = [m for m, _ in entries]
         if len(set(mults)) != len(mults):
             raise MultisetError("profile lists a multiplicity twice")
-        for m, c in self.entries:
+        for m, c in entries:
             _check_mult(m)
             _check_mult(c, "cardinality")
-        ordered = tuple(sorted(self.entries, key=lambda mc: (mc[0] == INF, mc[0])))
+        ordered = tuple(sorted(entries, key=lambda mc: (mc[0] == INF, mc[0])))
         object.__setattr__(self, "entries", ordered)
 
     def cardinality(self, mult: Mult) -> Mult:

@@ -123,7 +123,7 @@ def suite_mv_axioms(max_n=7, rational_pairs=1000, seed=0) -> SuiteResult:
 # --- suite 2: ideals and principality -----------------------------------------
 
 def suite_ideals(max_factors=3) -> SuiteResult:
-    """The subset-scan oracle's ideals equal the support ideals (the oracle only scans)."""
+    """The table-search oracle's ideals equal the support ideals (the oracle only searches)."""
     rec = SuiteResult("ideal-oracle")
     for A in algebra_family(max_factors=max_factors, max_size=alg.IDEAL_SCAN_LIMIT):
         found = set(alg.brute_force_ideals(A))

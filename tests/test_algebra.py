@@ -276,6 +276,36 @@ def test_brute_force_homs_counts():
     assert len(brute_force_homs(L3, L2)) == 0
 
 
+def _plain_hom_scan(A, B):
+    """Every map from A's elements to B's, in itertools.product order, that keeps
+    0, negation and the truncated sum, judged with pointwise_op on each algebra's
+    elements once and then read by element index."""
+    tables = []
+    for C in (A, B):
+        elems = list(enumerate_elements(C))
+        index = {e: i for i, e in enumerate(elems)}
+        neg = [index[pointwise_op("neg", e)] for e in elems]
+        plus = [[index[pointwise_op("oplus", e, f)] for f in elems] for e in elems]
+        tables.append((elems, index[zero(C)], neg, plus))
+    (ea, za, neg_a, plus_a), (eb, zb, neg_b, plus_b) = tables
+    n = len(ea)
+    found = []
+    for h in itertools.product(range(len(eb)), repeat=n):
+        if h[za] == zb and all(h[neg_a[i]] == neg_b[h[i]] for i in range(n)) and all(
+            h[plus_a[i][j]] == plus_b[h[i]][h[j]] for i in range(n) for j in range(n)
+        ):
+            found.append({ea[i]: eb[v] for i, v in enumerate(h)})
+    return found
+
+
+def test_table_search_finds_the_plain_scans_homs_in_order():
+    family = verify.algebra_family()
+    pairs = [(A, B) for A in family for B in family if B.size ** A.size <= 10 ** 4]
+    assert len(pairs) == 98
+    for A, B in pairs:
+        assert brute_force_homs(A, B) == _plain_hom_scan(A, B), (A, B)
+
+
 def test_brute_force_homs_bound():
     algebra._op_tables.cache_clear()
     L2_4 = make_algebra([(f"x{i}", ChainSize(2)) for i in range(4)])
@@ -287,7 +317,7 @@ def test_brute_force_homs_bound():
     assert algebra._op_tables.cache_info().currsize == 0  # refused before any table
 
 
-ORACLE_CODE = ("_op_tables", "_union_table", "brute_force_ideals", "brute_force_homs")
+ORACLE_CODE = ("_op_tables", "_table_maps", "brute_force_ideals", "brute_force_homs")
 SHORTCUTS = {
     "leq_elem", "pointwise_op", "mv_op", "check_member", "SupportIdeal", "maximal_ideals",
     "principal_ideal", "ideal_membership", "ideal_elements", "ideal_sup", "characteristic",

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from chmv.algebra import (
     AlgebraError, ProductAlgebra, enumerate_elements, make_algebra, make_element, unit,
 )
-from chmv.chain import ChainError, ChainSize, LINF, MV_KERNELS
+from chmv.chain import ChainSize, LINF, MV_KERNELS
 from chmv.dsl import (
     BinOp,
     Const,
@@ -312,10 +312,9 @@ def _parse_chain_size(cur: _Cursor) -> ChainSize:
     m = _CHAIN_RE.match(tok)
     if not m:
         raise cur.error(f"expected a chain like L3 or Linf, found {tok!r}")
-    n = _below(m.group(1), DIGITS_BOUND, cur.error, _CHAIN_LIMIT)
     try:
-        return ChainSize(n)
-    except ChainError as exc:
+        return ChainSize(_below(m.group(1), DIGITS_BOUND, _CHAIN_LIMIT))
+    except ValueError as exc:  # _below's or a ChainError
         raise cur.error(str(exc)) from None
 
 
@@ -325,7 +324,10 @@ def _parse_mult(cur: _Cursor) -> Mult:
         return INF
     if not (tok.isascii() and tok.isdecimal()):  # \d+ also reads other scripts' digits
         raise cur.error(f"expected a multiplicity or 'inf', found {tok!r}")
-    m = _below(tok, DIGITS_BOUND - 1, cur.error, _MULT_LIMIT)
+    try:
+        m = _below(tok, DIGITS_BOUND - 1, _MULT_LIMIT)
+    except ValueError as exc:
+        raise cur.error(str(exc)) from None
     if m < 1:
         raise cur.error("multiplicity must be at least 1")
     return m

@@ -6,7 +6,8 @@ when rebuilt through the public class, and equals and hashes like its rebuild,
 so it lists its pairs in the canonical order the public class gives them.
 Algebras and multisets store their hash, and a used hom caches a local
 function, so copies and pickles rebuild them through the constructor.  The
-constructors store a tuple (a frozenset for a support ideal) of any iterable.
+constructors store a tuple (a frozenset for a support ideal) of any iterable,
+and algebras, multisets and profiles store each pair as a tuple.
 """
 
 import copy
@@ -59,6 +60,7 @@ from chmv.multiset import (
     enumerate_morphisms,
     identity_morphism,
     INF,
+    Profile,
 )
 
 L3xLinf = make_algebra([("a", ChainSize(3)), ("b", LINF)])
@@ -74,6 +76,17 @@ NOT_FRACTIONS = [
     ((Fraction(0), True), "coordinate 1 must be a Fraction, not True"),
     ((Fraction(1), 1), "coordinate 1 must be a Fraction, not 1"),
 ]
+# a float that is not finite, at coordinate i: (Element's message, make_element's)
+NOT_FINITE = [
+    (coords, (f"coordinate {i} must be a Fraction, not {coords[i]}",
+              f"coordinate {i} must be a finite number, not {coords[i]}"))
+    for coords, i in [
+        ((float("inf"), Fraction(0)), 0),
+        ((Fraction(0), float("-inf")), 1),
+        ((Fraction(0), float("nan")), 1),
+        ((float("nan"), float("inf")), 0),
+    ]
+]
 
 
 @pytest.mark.parametrize(
@@ -82,9 +95,14 @@ NOT_FRACTIONS = [
         ((Fraction(1, 3), Fraction(0)), ChainError),  # off the L3 grid
         ((Fraction(0), Fraction(3, 2)), ChainError),  # outside [0, 1]
         ((Fraction(0),), AlgebraError),  # too few coordinates
-    ] + NOT_FRACTIONS,
+    ] + NOT_FRACTIONS + NOT_FINITE,
 )
 def test_element_and_make_element_reject(coords, error):
+    if isinstance(error, tuple):  # a float that is not finite
+        for build, message in zip((Element, make_element), error):
+            with pytest.raises(AlgebraError, match=f"^{re.escape(message)}$"):
+                build(L3xLinf, coords)
+        return
     if isinstance(error, str):  # a coordinate that is no Fraction
         with pytest.raises(AlgebraError) as info:
             Element(L3xLinf, coords)
@@ -268,6 +286,12 @@ OTHER_ITERABLES = [
      ContinuousHom(MAPS[0].source, MAPS[0].target, iter(MAPS[0].index_map)), MAPS[0]),
     ("EMMorphism from an iterator",
      EMMorphism(MAPS[1].source, MAPS[1].target, iter(MAPS[1].mapping)), MAPS[1]),
+    # each pair or entry is stored as a tuple too, whatever iterable it came as
+    ("ProductAlgebra from list pairs", ProductAlgebra([["x1", ChainSize(3)], ["x2", LINF]]), A),
+    ("make_algebra from list pairs", make_algebra([["x1", ChainSize(3)], ["x2", LINF]]), A),
+    ("EMultiset from list pairs", EMultiset([["a", 2], ["b", INF]]), HASHED[2]),
+    ("Profile from list entries", Profile([[INF, 1], [2, 1]]), Profile(((2, 1), (INF, 1)))),
+    ("Profile from an iterator", Profile(iter([(INF, 1), (2, 1)])), Profile(((2, 1), (INF, 1)))),
 ]
 
 
