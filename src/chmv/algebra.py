@@ -146,12 +146,14 @@ def _trusted_element(A: ProductAlgebra, coords: tuple[Fraction, ...]) -> Element
 
 
 def make_element(A: ProductAlgebra, coords: Iterable) -> Element:
-    """An element of A; a Fraction coordinate is kept as it is, a float must be finite."""
-    coords = tuple(coords)
+    """An element of A; a Fraction coordinate is kept, any other must be a finite number."""
+    out = []
     for i, v in enumerate(coords):
-        if isinstance(v, float) and not math.isfinite(v):  # Fraction() cannot read it
-            raise AlgebraError(f"coordinate {i} must be a finite number, not {v!r}")
-    return Element(A, (v if type(v) is Fraction else Fraction(v) for v in coords))
+        try:
+            out.append(v if type(v) is Fraction else Fraction(v))
+        except (ValueError, OverflowError, ZeroDivisionError, TypeError):
+            raise AlgebraError(f"coordinate {i} must be a finite number, not {v!r}") from None
+    return Element(A, out)
 
 
 def zero(A: ProductAlgebra) -> Element:
@@ -381,6 +383,8 @@ def brute_force_homs(A: ProductAlgebra, B: ProductAlgebra) -> list[dict[Element,
 
     A map is a homomorphism when it preserves 0, negation, and the
     truncated sum: _table_maps with B's tables, in itertools.product order.
+    Each table's keys come in enumerate_elements(A) order, so the hom-oracle
+    suite reads a table's values as the images of A's elements in that order.
     """
     n, m = _enumerable_size(A), _enumerable_size(B)
     if m ** n > DEFAULT_ENUM_BOUND:

@@ -51,12 +51,15 @@ class UnboundVariableError(ValueError):
 
 # The lexical fragments, each written once (chain._LABEL, which algebras and
 # multisets check their labels by, too): the tokenizer and the coordinate
-# pattern are compiled from them.  A token that starts with one of _LABEL_START
-# is a whole _LABEL.
+# pattern are compiled from them, the binary operators listed from loosest to
+# tightest.  A token that starts with one of _LABEL_START is a whole _LABEL.
 _DIGIT = "[0-9]"  # ASCII only: \d also reads other scripts' digits
 _LABEL_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-
-_TOKEN_RE = re.compile(r"\(\+\)|\(\.\)|/\\|\\/|->|[~()\[\]{}:,*]|" + _LABEL + r"|\d+|\S")
+_PUNCTUATION = "~()[]{}:,*"
+_BINARY_LEVELS = [("implies", "->"), ("join", "\\/"), ("meet", "/\\"),
+                  ("oplus", "(+)"), ("odot", "(.)")]
+_TOKEN_RE = re.compile("|".join([re.escape(symbol) for _, symbol in _BINARY_LEVELS]
+                                + [f"[{re.escape(_PUNCTUATION)}]", _LABEL, r"\d+", r"\S"]))
 _END = "unexpected end of input"
 
 
@@ -69,7 +72,7 @@ def _token_start(text: str, index: int) -> int:
 def _check_characters(text: str, tokens: list[str]) -> None:
     """Raise ParseError at the first token of text that is no character of the DSL."""
     for t in dict.fromkeys(tokens):  # each token once, in the order it first occurs
-        if len(t) == 1 and not (t.isalnum() or t in "~()[]{}:,*_"):
+        if len(t) == 1 and not (t.isalnum() or t in _PUNCTUATION or t == "_"):
             index = tokens.index(t)  # the first bad token: equal tokens are equally bad
             raise ParseError(f"unexpected character {t!r}", _token_start(text, index))
 
@@ -358,11 +361,8 @@ class BinOp(Term):
         object.__setattr__(self, "height", height)
 
 
-_BINARY_LEVELS = [("implies", "->"), ("join", "\\/"), ("meet", "/\\"),
-                  ("oplus", "(+)"), ("odot", "(.)")]
-_SYMBOL_OF = dict(_BINARY_LEVELS)
 _LEVEL_OF = {symbol: (level, op) for level, (op, symbol) in enumerate(_BINARY_LEVELS)}
-_PREC = {op: level for level, (op, _) in enumerate(_BINARY_LEVELS)}
+_SYMBOL_OF = {op: (level, symbol) for level, (op, symbol) in enumerate(_BINARY_LEVELS)}
 
 # What waits on parse_term's operator stack besides the binaries: a "(", with
 # the index of its token, and a "~", both below every binary level
@@ -586,9 +586,9 @@ def _render_term(t: Term, parent: int = -1, right_side: bool = False) -> str:
         return t.name
     if isinstance(t, Neg):
         return f"~{_render_term(t.arg, parent=len(_BINARY_LEVELS))}"
-    prec = _PREC[t.op]
+    prec, symbol = _SYMBOL_OF[t.op]
     text = (
-        f"{_render_term(t.left, prec, False)} {_SYMBOL_OF[t.op]} "
+        f"{_render_term(t.left, prec, False)} {symbol} "
         f"{_render_term(t.right, prec, True)}"
     )
     if parent > prec or (parent == prec and right_side):

@@ -24,7 +24,6 @@ from .algebra import (
     Element,
     ProductAlgebra,
     _trusted_element,
-    enumerate_elements,
 )
 from .chain import ChainSize, LINF, chain_subset
 from .multiset import EMMorphism, EMultiset, INF, LabelledMap, _trusted_morphism, compose_morphisms
@@ -67,15 +66,10 @@ class ContinuousHom(LabelledMap):
         return f"{A.chain(x)} is not a subchain of {B.chain(y)}"
 
     @cached_property
-    def source_positions(self) -> tuple[int, ...]:
-        """For each target coordinate, the position of its source coordinate."""
-        pos = self.source.positions
-        return tuple(pos[x] for _, x in self.index_map)
-
-    @cached_property
     def image_getter(self):
-        """apply_hom's reader of the image tuple; itemgetter makes tuples from 2 items on."""
-        pos = self.source_positions
+        """apply_hom's reader of the image tuple: itemgetter (which makes tuples
+        from 2 items on) at the source position of each target coordinate."""
+        pos = [self.source.positions[x] for _, x in self.index_map]
         return operator.itemgetter(*pos) if len(pos) > 1 else lambda c: tuple([c[p] for p in pos])
 
 
@@ -110,11 +104,6 @@ def compose_homs(g: ContinuousHom, h: ContinuousHom) -> ContinuousHom:
         raise HomError("target of the first hom differs from source of the second")
     h_map = dict(h.index_map)
     return _trusted_hom(h.source, g.target, tuple([(z, h_map[x]) for z, x in g.index_map]))
-
-
-def element_map(h: ContinuousHom) -> dict[Element, Element]:
-    """Full element table of a hom over an all-finite source."""
-    return {f: apply_hom(h, f) for f in enumerate_elements(h.source)}
 
 
 # --- the two functors ------------------------------------------------------
@@ -156,7 +145,8 @@ def epsilon(A: ProductAlgebra) -> ContinuousHom:
 # --- naturality checks -----------------------------------------------------
 
 def check_naturality_eq1(phi: EMMorphism) -> bool:
-    """Does H(F(phi)) after the unit equal the unit after phi, as point maps?"""
+    """Naturality of the unit of the duality between EM and CHMV: does
+    H(F(phi)) after the unit equal the unit after phi, as point maps?"""
     lhs = compose_morphisms(H_mor(F_mor(phi)), eta(phi.source))
     rhs = compose_morphisms(eta(phi.target), phi)
     return lhs == rhs
@@ -180,14 +170,14 @@ def sample_elements(A: ProductAlgebra, count: int, seed: int) -> list[Element]:
 
 
 def check_naturality_eq2(psi: ContinuousHom) -> bool:
-    """Does F(H(psi)) after the counit equal the counit after psi, on elements?
+    """Naturality of the counit of the duality between EM and CHMV: does
+    F(H(psi)) after the counit equal the counit after psi, on elements?
 
     Both sides act by precomposition with their index maps, so they agree on
     every element exactly when the index maps agree: where two maps send a
     target coordinate to different source coordinates i and j, the element
     that is 0 at i and 1 at j tells them apart (every chain holds 0 and 1,
-    and the coordinates of a product vary independently).
-    """
+    and the coordinates of a product vary independently)."""
     lhs = compose_homs(F_mor(H_mor(psi)), epsilon(psi.source))
     rhs = compose_homs(epsilon(psi.target), psi)
     return lhs == rhs

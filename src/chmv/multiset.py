@@ -34,7 +34,7 @@ class MorphismError(MultisetError):
 
 
 def _check_mult(m: Mult, what: str = "multiplicity") -> None:
-    if m == INF:
+    if type(m) is float and m == INF:  # a Decimal infinity equals INF, but renders as "Infinity"
         return
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise MultisetError(f"{what} must be a positive integer or inf, got {m!r}")

@@ -167,19 +167,16 @@ def suite_ideals(max_factors=3) -> SuiteResult:
 
 # --- suite 3: homomorphism oracle ----------------------------------------------
 
-def _canonical_map(table: dict) -> frozenset:
-    return frozenset((f.coords, g.coords) for f, g in table.items())
-
-
 def suite_hom_oracle(bound=10 ** 6) -> SuiteResult:
     rec = SuiteResult("hom-oracle")
     family = algebra_family()
     for A, B in itertools.product(family, repeat=2):
         if B.size ** A.size > bound:
             continue
-        brute = {_canonical_map(t) for t in alg.brute_force_homs(A, B)}
+        elems = list(alg.enumerate_elements(A))  # the order of each brute-force table's keys
+        brute = {tuple(t.values()) for t in alg.brute_force_homs(A, B)}
         induced = {
-            _canonical_map(dual.element_map(h))
+            tuple([dual.apply_hom(h, f) for f in elems])
             for h in dual.enumerate_continuous_homs(A, B)
         }
         rec.check(

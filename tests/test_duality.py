@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chmv import duality, verify
+from chmv import algebra, duality, verify
 from chmv.algebra import (
     AlgebraMismatchError,
     enumerate_elements,
@@ -22,7 +22,6 @@ from chmv.duality import (
     check_naturality_eq2,
     compose_homs,
     continuous_hom_count,
-    element_map,
     enumerate_continuous_homs,
     epsilon,
     eta,
@@ -93,7 +92,7 @@ def test_apply_hom_reads_the_source_positions(A, B, data):
     for f in sample_elements(A, count=5, seed=data.draw(st.integers(0, 2 ** 16))):
         image = apply_hom(h, f)
         assert type(image.coords) is tuple
-        assert image.coords == tuple(f.coords[p] for p in h.source_positions)
+        assert image.coords == tuple(f.coords[h.source.positions[x]] for _, x in h.index_map)
         assert image.algebra is B
 
 
@@ -236,7 +235,7 @@ def test_naturality_eq2_draws_no_elements(monkeypatch):
         raise AssertionError("elements drawn")
 
     monkeypatch.setattr(duality, "sample_elements", _raise)
-    monkeypatch.setattr(duality, "enumerate_elements", _raise)
+    monkeypatch.setattr(algebra, "enumerate_elements", _raise)
     L3 = make_algebra([("x", ChainSize(3))])
     A = make_algebra([("u", LINF)])
     assert check_naturality_eq2(identity_hom(L3xL2))
@@ -267,11 +266,12 @@ def test_hom_oracle_agreement_example():
     from chmv.algebra import brute_force_homs
 
     L3 = make_algebra([("x", ChainSize(3))])
-    brute = {frozenset((f.coords, g.coords) for f, g in t.items())
-             for t in brute_force_homs(L3xL2, L3)}
-    induced = {frozenset((f.coords, g.coords) for f, g in element_map(h).items())
-               for h in enumerate_continuous_homs(L3xL2, L3)}
-    assert brute == induced
+    elems = list(enumerate_elements(L3xL2))
+    tables = brute_force_homs(L3xL2, L3)
+    assert all(list(t) == elems for t in tables)  # the keys come in enumeration order
+    brute = {tuple(t.values()) for t in tables}
+    induced = {tuple(apply_hom(h, f) for f in elems) for h in enumerate_continuous_homs(L3xL2, L3)}
+    assert len(brute) == 2 and brute == induced
 
 
 def test_sample_elements_deterministic():

@@ -17,6 +17,7 @@ import pickle
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,6 +57,7 @@ from chmv.multiset import (
     EMMorphism,
     EMultiset,
     MorphismError,
+    MultisetError,
     compose_morphisms,
     enumerate_morphisms,
     identity_morphism,
@@ -76,15 +78,20 @@ NOT_FRACTIONS = [
     ((Fraction(0), True), "coordinate 1 must be a Fraction, not True"),
     ((Fraction(1), 1), "coordinate 1 must be a Fraction, not 1"),
 ]
-# a float that is not finite, at coordinate i: (Element's message, make_element's)
+# a value that is no finite number, at coordinate i: (Element's message, make_element's);
+# Fraction() raises OverflowError, ValueError, ZeroDivisionError or TypeError on them
 NOT_FINITE = [
-    (coords, (f"coordinate {i} must be a Fraction, not {coords[i]}",
-              f"coordinate {i} must be a finite number, not {coords[i]}"))
+    (coords, (f"coordinate {i} must be a Fraction, not {coords[i]!r}",
+              f"coordinate {i} must be a finite number, not {coords[i]!r}"))
     for coords, i in [
         ((float("inf"), Fraction(0)), 0),
         ((Fraction(0), float("-inf")), 1),
         ((Fraction(0), float("nan")), 1),
         ((float("nan"), float("inf")), 0),
+        ((Decimal("Infinity"), Fraction(0)), 0),
+        ((Fraction(0), Decimal("NaN")), 1),
+        (("1/0", Fraction(0)), 0),
+        ((Fraction(0), None), 1),
     ]
 ]
 
@@ -98,7 +105,7 @@ NOT_FINITE = [
     ] + NOT_FRACTIONS + NOT_FINITE,
 )
 def test_element_and_make_element_reject(coords, error):
-    if isinstance(error, tuple):  # a float that is not finite
+    if isinstance(error, tuple):  # a value that is no finite number
         for build, message in zip((Element, make_element), error):
             with pytest.raises(AlgebraError, match=f"^{re.escape(message)}$"):
                 build(L3xLinf, coords)
@@ -115,6 +122,26 @@ def test_element_and_make_element_reject(coords, error):
         Element(L3xLinf, coords)
     with pytest.raises(error):
         make_element(L3xLinf, coords)
+
+
+# a multiplicity or cardinality is a positive int or the float inf, which renders
+# as "inf": a Decimal infinity equals and hashes like it but renders as "Infinity"
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: EMultiset([("a", Decimal("Infinity"))]),
+         "multiplicity must be a positive integer or inf, got Decimal('Infinity')"),
+        (lambda: EMultiset([("a", float("-inf"))]),
+         "multiplicity must be a positive integer or inf, got -inf"),
+        (lambda: Profile([(Decimal("Infinity"), 1)]),
+         "multiplicity must be a positive integer or inf, got Decimal('Infinity')"),
+        (lambda: Profile([(1, Decimal("Infinity"))]),
+         "cardinality must be a positive integer or inf, got Decimal('Infinity')"),
+    ],
+)
+def test_multisets_and_profiles_take_only_the_float_infinity(build, message):
+    with pytest.raises(MultisetError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_continuous_hom_and_make_hom_reject():

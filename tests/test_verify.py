@@ -6,7 +6,7 @@ check fail on purpose and read back the record it leaves.
 
 import pytest
 
-from chmv import duality, dsl, structure, verify
+from chmv import algebra, duality, dsl, structure, verify
 from chmv.multiset import EMMorphism
 
 
@@ -35,6 +35,31 @@ def test_counit_failure_names_its_morphism_and_both_multisets(monkeypatch):
     assert result.failures == [
         "counit naturality at {'a': 'b', 'b': 'a'} : {a:2, b:2} -> {a:1, b:2}"
     ]
+
+
+@pytest.mark.parametrize("fault", ["dropped hom", "wrong image"])
+def test_hom_oracle_failure_names_its_pair_and_both_counts(monkeypatch, fault):
+    expected_checks = verify.run_suite("suite_hom_oracle", "small").checks
+    A, B = dsl.parse_algebra("L2 * L3"), dsl.parse_algebra("L3")
+    if fault == "dropped hom":  # the index maps miss one of the two homs
+        enumerate_homs = duality.enumerate_continuous_homs
+
+        def fewer_homs(S, T):
+            homs = list(enumerate_homs(S, T))
+            return homs[1:] if (S, T) == (A, B) else homs
+
+        monkeypatch.setattr(duality, "enumerate_continuous_homs", fewer_homs)
+        induced = 1
+    else:  # one hom sends A's unit to B's zero, so its table is no hom's
+        wrong, apply = next(duality.enumerate_continuous_homs(A, B)), duality.apply_hom
+        monkeypatch.setattr(
+            duality, "apply_hom",
+            lambda h, f: algebra.zero(B) if h == wrong and f == algebra.unit(A) else apply(h, f),
+        )
+        induced = 2
+    result = verify.run_suite("suite_hom_oracle", "small")
+    assert result.checks == expected_checks
+    assert result.failures == [f"homs L2 * L3 -> L3: oracle 2 vs index maps {induced}"]
 
 
 @pytest.mark.parametrize("flip", [False, True])
