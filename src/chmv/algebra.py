@@ -99,6 +99,8 @@ class Element:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.algebra, ProductAlgebra):
+            raise AlgebraError(f"algebra must be a ProductAlgebra, not {self.algebra!r}")
         _set_coords(self, tuple(self.coords))
         if len(self.coords) != len(self.algebra.factors):
             raise AlgebraError(

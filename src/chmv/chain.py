@@ -44,11 +44,32 @@ class LabelledPairs:
                 raise self._error(f"{self._word} label must be a label, not {lbl!r}")
             check(lbl, value)
             pairs.append((lbl, value))
+        self._store(pairs)
+
+    def _store(self, pairs: list[tuple[str, object]]) -> None:
         labels = [lbl for lbl, _ in pairs]
         if len(set(labels)) != len(labels):
             raise self._repeated(f"duplicate {self._word} labels in {labels}")
         pairs = tuple(pairs)
         self.__dict__.update({self._pairs: pairs, "labels": tuple(labels), "_hash": hash(pairs)})
+
+    @classmethod
+    def _trusted(cls, pairs: list[tuple[str, object]]):
+        """Build from a list of (label, value) tuples without checking each label and value.
+
+        The repeated-label check stays: dsl._read catches its error to report
+        the label at its position.  Only for labels and values that are valid
+        by construction:
+        - dsl._read reads each label as one token that starts with a letter
+          or "_", which is a whole chain._LABEL, and each value through
+          _chain or _mult, which build only a ChainSize or a multiplicity;
+        - F_obj and H_obj read the labels of a valid object, and map its
+          valid multiplicities m to L(m + 1) and its chains Ln to n - 1.
+        Input from outside the package goes through the class, which validates.
+        """
+        obj = object.__new__(cls)
+        obj._store(pairs)
+        return obj
 
     def __hash__(self) -> int:  # stored: functor-cache lookups skip the nested tuple
         return self._hash
@@ -133,16 +154,29 @@ def mv_op(kind: str, a: Fraction, b: Fraction | None = None) -> Fraction:
     if kind == "neg":
         if b is not None:
             raise ChainError("neg takes a single operand")
-        return Fraction(a.denominator - a.numerator, a.denominator)
+        try:
+            return Fraction(a.denominator - a.numerator, a.denominator)
+        except AttributeError:
+            raise _not_a_fraction(kind, a) from None
     kernel = MV_KERNELS.get(kind)
     if kernel is None:
         raise ChainError(f"unknown operation {kind!r}")
     if b is None:
         raise ChainError(f"{kind} needs two operands")
-    ad, bd = a.denominator, b.denominator
-    an, bn = a.numerator * bd, b.numerator * ad
+    try:
+        ad, bd = a.denominator, b.denominator
+        an, bn = a.numerator * bd, b.numerator * ad
+    except AttributeError:
+        raise _not_a_fraction(kind, a, b) from None
     r = kernel(an, bn, ad * bd)
     return a if r == an else b if r == bn else Fraction(r, ad * bd)
+
+
+def _not_a_fraction(kind: str, *operands) -> ChainError:
+    """mv_op's error for operands one of which has no numerator or denominator: it names it."""
+    bad = next((v for v in operands
+                if not (hasattr(v, "numerator") and hasattr(v, "denominator"))), operands[0])
+    return ChainError(f"{kind} operand must be a Fraction, not {bad!r}")
 
 
 def chain_subset(c1: ChainSize, c2: ChainSize) -> bool:

@@ -14,6 +14,9 @@ Objects and terms have one reader each: one pass over the text's tokens,
 which reads a text of any length and places every ParseError.  _read reads
 algebras and multisets; parse_term, an operator-precedence pass, reads terms.
 Term nodes are checked when built, so eval_term and render trust every node.
+The readers check each token once, as they read it, and build what they read
+through trusted builders, which skip the constructors' second look at the
+same labels and values (a term node's height is still computed by its rule).
 
 A ParseError carries the character offset of the offending token in the
 input text.  The readers hold the tokens as plain strings, so the offset is
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import AlgebraError, Element, ProductAlgebra, _trusted_element, make_algebra
+from .algebra import AlgebraError, Element, ProductAlgebra, _trusted_element
 from .chain import _LABEL, MV_KERNELS, ChainSize, LINF, _is_label
 from .multiset import EMultiset, INF, Mult
 
@@ -104,8 +107,13 @@ def _below(digits: str, bound: int, message: str) -> int:
     return value
 
 
-# The value readers of _read: each takes one token, and raises ValueError if
-# it is none.  Their values are immutable, so they are cached per token.
+# The value readers of _read, and _parse_coordinate of parse_env: each takes
+# one token, and raises ValueError if it is none.  Their values are immutable,
+# so they are cached per token; a token longer than _CACHED_LENGTH is read past
+# the cache (through __wrapped__), so a full cache holds 1024 short strings.
+_CACHED_LENGTH = 100
+
+
 @lru_cache(maxsize=1024)
 def _chain(tok: str) -> ChainSize:
     if tok == "Linf":
@@ -135,16 +143,18 @@ def _read(text: str, value: Callable[[str], object], brackets: str, build: Calla
     The text is `open label: v, ... close`, with open and close the two
     brackets, or, if product and it does not start with open, `v * v * ...`,
     labelled x1, x2, ...; value, a reader under lru_cache, reads the token of
-    each v, past its cache in a text over 100 characters.  An error is
-    raised at the token being read, as "unexpected end of input" at the end,
-    after any bad character of text.  A text read to its end holds none:
-    each of its tokens was read as a label, a value or a bracket, ":", ","
-    or "*".  A label that repeats an earlier one is reported at its position.
+    each v, past its cache in a text over _CACHED_LENGTH characters.  build
+    is the trusted builder of the class, which checks only that no label
+    repeats.  An error is raised at the token being read, as "unexpected end
+    of input" at the end, after any bad character of text.  A text read to
+    its end holds none: each of its tokens was read as a label, a value or a
+    bracket, ":", "," or "*".  A label that repeats an earlier one is
+    reported at its position.
     """
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # the end of the text
     open, close = brackets
-    if len(text) > 100:  # a full cache keeps no token longer than 100 characters
+    if len(text) > _CACHED_LENGTH:
         value = value.__wrapped__
     entries = []
     i = 0  # the token being read
@@ -200,12 +210,12 @@ def _repeated_label(text: str, entries) -> int:
 
 def parse_algebra(text: str) -> ProductAlgebra:
     """The algebra `L2 * L3` or `[a: L2, b: Linf]`; ParseError if text is neither."""
-    return _read(text, _chain, "[]", make_algebra, product=True)
+    return _read(text, _chain, "[]", ProductAlgebra._trusted, product=True)
 
 
 def parse_multiset(text: str) -> EMultiset:
     """The multiset `{a:2, b:inf}`; ParseError if text is not one."""
-    return _read(text, _mult, "{}", EMultiset)
+    return _read(text, _mult, "{}", EMultiset._trusted)
 
 
 def parse_object(text: str) -> ProductAlgebra | EMultiset:
@@ -228,6 +238,7 @@ _EXPONENT_RE = re.compile(
 )
 
 
+@lru_cache(maxsize=1024)
 def _parse_coordinate(text: str) -> Fraction:
     """The coordinate's value: w.d reads as wd/10^len(d), without d's trailing zeros.
 
@@ -277,7 +288,8 @@ def parse_env(text: str, A: ProductAlgebra) -> dict[str, Element]:
             body = body[1:-1]
         parts = [p.strip() for p in body.split(",")] if body else []
         try:
-            env[name] = Element(A, [_parse_coordinate(p) for p in parts])
+            env[name] = Element(A, [_parse_coordinate(p) if len(p) <= _CACHED_LENGTH
+                                    else _parse_coordinate.__wrapped__(p) for p in parts])
         except ValueError as exc:
             raise ValueError(f"binding {name!r}: {exc}") from None
     return env
@@ -291,6 +303,18 @@ def parse_env(text: str, A: ProductAlgebra) -> dict[str, Element]:
 # interpreter's recursion and nesting limits.  Parentheses in a text are free.
 MAX_TERM_DEPTH = 100
 _TOO_DEEP = f"term nests deeper than {MAX_TERM_DEPTH} levels"
+
+
+def _height(kind: str, below: int) -> int:
+    """The height of a node of class kind, one more than below, its highest child's.
+
+    The one height rule, which the constructors of Neg and BinOp and the
+    trusted builds of parse_term share: ValueError naming the class if the
+    height tops MAX_TERM_DEPTH.
+    """
+    if below >= MAX_TERM_DEPTH:
+        raise ValueError(f"{kind} must be at most {MAX_TERM_DEPTH} high, not {below + 1}")
+    return below + 1
 
 
 class Term:
@@ -337,9 +361,7 @@ class Neg(Term):
     def __post_init__(self) -> None:
         if not isinstance(self.arg, Term):
             raise ValueError(f"Neg.arg must be a Term, not {self.arg!r}")
-        if (height := self.arg.height + 1) > MAX_TERM_DEPTH:
-            raise ValueError(f"Neg must be at most {MAX_TERM_DEPTH} high, not {height}")
-        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "height", _height("Neg", self.arg.height))
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,9 +378,47 @@ class BinOp(Term):
             raise ValueError(f"BinOp.left must be a Term, not {self.left!r}")
         if not isinstance(self.right, Term):
             raise ValueError(f"BinOp.right must be a Term, not {self.right!r}")
-        if (height := max(self.left.height, self.right.height) + 1) > MAX_TERM_DEPTH:
-            raise ValueError(f"BinOp must be at most {MAX_TERM_DEPTH} high, not {height}")
-        object.__setattr__(self, "height", height)
+        below = max(self.left.height, self.right.height)
+        object.__setattr__(self, "height", _height("BinOp", below))
+
+
+# parse_term's builds, which skip every check of __post_init__ but the height
+# rule: a token that starts with one of _LABEL_START is a whole _LABEL, a
+# constant token is "0" or "1", each op is read from _BINARY_LEVELS, and every
+# operand is a node that parse_term built.
+_new = object.__new__
+_set_value, _set_name, _set_arg = Const.value.__set__, Var.name.__set__, Neg.arg.__set__
+_set_op, _set_left, _set_right = BinOp.op.__set__, BinOp.left.__set__, BinOp.right.__set__
+_set_neg_height, _set_binop_height = Neg.height.__set__, BinOp.height.__set__
+
+
+def _trusted_const(value: int) -> Const:
+    node = _new(Const)
+    _set_value(node, value)
+    return node
+
+
+def _trusted_var(name: str) -> Var:
+    node = _new(Var)
+    _set_name(node, name)
+    return node
+
+
+def _trusted_neg(arg: Term) -> Neg:
+    node = _new(Neg)
+    _set_arg(node, arg)
+    _set_neg_height(node, _height("Neg", arg.height))
+    return node
+
+
+def _trusted_binop(op: str, left: Term, right: Term) -> BinOp:
+    node = _new(BinOp)
+    _set_op(node, op)
+    _set_left(node, left)
+    _set_right(node, right)
+    lh, rh = left.height, right.height
+    _set_binop_height(node, _height("BinOp", lh if lh > rh else rh))
+    return node
 
 
 _LEVEL_OF = {symbol: (level, op) for level, (op, symbol) in enumerate(_BINARY_LEVELS)}
@@ -398,9 +458,9 @@ def parse_term(text: str) -> Term:
                 ops.append((-1, "(", i))
                 continue
             if tok[:1] in _LABEL_START:  # such a token is a whole _LABEL
-                out.append(names.get(tok) or names.setdefault(tok, Var(tok)))
+                out.append(names.get(tok) or names.setdefault(tok, _trusted_var(tok)))
             elif tok == "0" or tok == "1":
-                out.append(Const(int(tok)))
+                out.append(_trusted_const(int(tok)))
             else:
                 raise _term_error(text, tokens, f"expected a term, found {tok!r}" if tok else _END, i)
             start = i  # of the complete operand
@@ -410,7 +470,7 @@ def parse_term(text: str) -> Term:
             while ops[-1][0] >= level:
                 _, op, at = ops.pop()
                 try:  # out[-2] is read before the pop: the left operand, then the right
-                    out[-1] = BinOp(op, out[-2], out.pop())
+                    out[-1] = _trusted_binop(op, out[-2], out.pop())
                 except ValueError:  # too high: the one check such a node can fail
                     raise _term_error(text, tokens, _TOO_DEEP, at) from None
             if entry is not None:
@@ -427,7 +487,7 @@ def parse_term(text: str) -> Term:
         while ops[-1] is _NOT:  # their operand, from token start on, is complete
             ops.pop()
             try:
-                out[-1] = Neg(out[-1])
+                out[-1] = _trusted_neg(out[-1])
             except ValueError:  # too high
                 raise _term_error(text, tokens, _TOO_DEEP, start) from None
         operand = False
@@ -463,11 +523,18 @@ def eval_term(t: Term, env: dict[str, Element], A: ProductAlgebra) -> Element:
     runs the same kernels, and that and every later evaluation run the
     compiled program over the same numerators; its variables are checked
     first, leftmost first, so it raises what the walk raises.  The nodes
-    were checked when built: only the root's class is checked here.
+    were checked when built: only the root's class is checked here, and
+    the class of each binding only once reading one has failed.
     """
     if not isinstance(t, Term):
         raise TypeError(f"not a term: {t!r}")
-    bound = {x: e.coords for x, e in env.items() if e.algebra is A or e.algebra == A}
+    try:
+        bound = {x: e.coords for x, e in env.items() if e.algebra is A or e.algebra == A}
+    except AttributeError:
+        for x, e in env.items():
+            if not isinstance(e, Element):
+                raise TypeError(f"binding for {x!r} is not an Element: {e!r}") from None
+        raise
     dens = tuple([
         c.n - 1 if c.n is not None else math.lcm(*[v[k].denominator for v in bound.values()])
         for k, (_, c) in enumerate(A.factors)

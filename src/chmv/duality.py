@@ -52,7 +52,7 @@ class ContinuousHom(LabelledMap):
     index_map: tuple[tuple[str, str], ...]
 
     _sides = staticmethod(lambda source, target: (target, source))  # domain, codomain
-    _pairs, _error = "index_map", HomError
+    _pairs, _object, _error = "index_map", ProductAlgebra, HomError
     _total = "index map must be total on the target coordinates"
     _unknown = "index map hits unknown source coordinate {!r}"
 
@@ -111,7 +111,8 @@ def compose_homs(g: ContinuousHom, h: ContinuousHom) -> ContinuousHom:
 @lru_cache(maxsize=FUNCTOR_CACHE_SIZE)
 def F_obj(X: EMultiset) -> ProductAlgebra:
     """Multiset point of multiplicity s becomes a chain factor of size s + 1."""
-    return ProductAlgebra((lbl, LINF if m == INF else ChainSize(m + 1)) for lbl, m in X.points)
+    return ProductAlgebra._trusted(
+        [(lbl, LINF if m == INF else ChainSize(m + 1)) for lbl, m in X.points])
 
 
 def F_mor(phi: EMMorphism) -> ContinuousHom:
@@ -122,7 +123,8 @@ def F_mor(phi: EMMorphism) -> ContinuousHom:
 @lru_cache(maxsize=FUNCTOR_CACHE_SIZE)
 def H_obj(A: ProductAlgebra) -> EMultiset:
     """A chain factor of size n becomes a point of multiplicity n - 1."""
-    return EMultiset((lbl, INF if not c.is_finite else c.n - 1) for lbl, c in A.factors)
+    return EMultiset._trusted(
+        [(lbl, INF if not c.is_finite else c.n - 1) for lbl, c in A.factors])
 
 
 def H_mor(psi: ContinuousHom) -> EMMorphism:

@@ -68,15 +68,18 @@ class LabelledMap:
 
     A subclass declares the fields source, target and its pairs, which send
     each label of the domain (the source of a morphism, the target of a hom)
-    to an admissible label of the codomain.  It names its pairs field, its
-    domain side (_sides), its error class and messages, and _images, the
-    admissible images of one domain label, which both validation and the
-    choice lists read.  The constructor lists the pairs in the order of the
+    to an admissible label of the codomain.  It names its pairs field, the
+    class of its source and target (_object), its domain side (_sides), its
+    error class and messages, and _images, the admissible images of one
+    domain label, which both validation and the choice lists read.  The constructor lists the pairs in the order of the
     domain's labels, so == and hash are equality of maps; copies and pickles
     rebuild through the constructor.
     """
 
     def __post_init__(self) -> None:
+        for side in ("source", "target"):
+            if not isinstance(obj := getattr(self, side), self._object):
+                raise self._error(f"{side} must be of type {self._object.__name__}, not {obj!r}")
         dom, cod = self._sides(self.source, self.target)
         pairs = tuple(getattr(self, self._pairs))
         as_dict = dict(pairs)
@@ -152,7 +155,7 @@ class EMMorphism(LabelledMap):
     mapping: tuple[tuple[str, str], ...]
 
     _sides = staticmethod(lambda source, target: (source, target))  # domain, codomain
-    _pairs, _error = "mapping", MorphismError
+    _pairs, _object, _error = "mapping", EMultiset, MorphismError
     _total = "map must be total on the source points"
     _unknown = "image point {!r} not in the target"
 

@@ -1,9 +1,11 @@
 """The unchecked constructors inside the package build only valid objects.
 
-Public constructors and parsers still reject invalid input; every element,
-hom and morphism the library derives from valid ones passes full validation
-when rebuilt through the public class, and equals and hashes like its rebuild,
-so it lists its pairs in the canonical order the public class gives them.
+Public constructors and parsers still reject invalid input, an argument of the
+wrong kind included; every element, hom and morphism the library derives from
+valid ones passes full validation when rebuilt through the public class, and
+equals and hashes like its rebuild, so it lists its pairs in the canonical
+order the public class gives them.  So do the term nodes and objects that the
+DSL readers and the functors build without the constructors' checks.
 Algebras and multisets store their hash, and a used hom caches a local
 function, so copies and pickles rebuild them through the constructor.  The
 constructors store a tuple (a frozenset for a support ideal) of any iterable,
@@ -11,6 +13,7 @@ and algebras, multisets and profiles store each pair as a tuple.
 """
 
 import copy
+import dataclasses
 import itertools
 import os
 import pickle
@@ -37,12 +40,26 @@ from chmv.algebra import (
     unit,
     zero,
 )
-from chmv.chain import MV_KERNELS, ChainError, ChainSize, LINF
-from chmv.dsl import ParseError, parse_algebra, parse_multiset, parse_term
+from chmv.chain import MV_KERNELS, ChainError, ChainSize, LabelledPairs, LINF, mv_op
+from chmv.dsl import (
+    BinOp,
+    Const,
+    Neg,
+    ParseError,
+    Var,
+    eval_term,
+    parse_algebra,
+    parse_multiset,
+    parse_object,
+    parse_term,
+    render,
+)
 from chmv.duality import (
     ContinuousHom,
     F_mor,
+    F_obj,
     H_mor,
+    H_obj,
     HomError,
     apply_hom,
     compose_homs,
@@ -64,6 +81,7 @@ from chmv.multiset import (
     INF,
     Profile,
 )
+from chmv.verify import algebra_family, multiset_family
 
 L3xLinf = make_algebra([("a", ChainSize(3)), ("b", LINF)])
 
@@ -193,6 +211,38 @@ def test_em_morphism_and_validate_morphism_reject():
             EMMorphism(X, Y, mapping)
 
 
+L3 = make_algebra([("x", ChainSize(3))])
+Y1 = EMultiset((("b", 1),))
+# An argument of the wrong kind raises its module's error, which names it, and
+# never AttributeError; a binding that is no Element raises TypeError, as a root
+# that is no term does.
+WRONG_KINDS = [
+    (lambda: EMMorphism("X", Y1, ()), MorphismError, "source must be of type EMultiset, not 'X'"),
+    (lambda: EMMorphism(Y1, None, ()), MorphismError, "target must be of type EMultiset, not None"),
+    (lambda: ContinuousHom(L3, "B", ()), HomError,
+     "target must be of type ProductAlgebra, not 'B'"),
+    (lambda: ContinuousHom(Y1, L3, ()), HomError,
+     f"source must be of type ProductAlgebra, not {Y1!r}"),
+    (lambda: Element(None, (Fraction(0),)), AlgebraError,
+     "algebra must be a ProductAlgebra, not None"),
+    (lambda: mv_op("oplus", 0.5, 0.25), ChainError, "oplus operand must be a Fraction, not 0.5"),
+    (lambda: mv_op("meet", Fraction(1, 2), "1"), ChainError,
+     "meet operand must be a Fraction, not '1'"),
+    (lambda: mv_op("neg", 0.5), ChainError, "neg operand must be a Fraction, not 0.5"),
+    (lambda: eval_term(parse_term("x"), {"x": 3}, L3), TypeError,
+     "binding for 'x' is not an Element: 3"),
+    (lambda: eval_term(parse_term("x"), {"x": unit(L3), "y": None}, L3), TypeError,
+     "binding for 'y' is not an Element: None"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", WRONG_KINDS)
+def test_an_argument_of_the_wrong_kind_raises_the_module_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "parse, text",
     [
@@ -276,6 +326,97 @@ def test_morphisms_revalidate(X, Y, Z):
     built += [compose_morphisms(psi, phi) for phi in first for psi in second]
     assert all(revalidated_morphism(phi) for phi in built)
     assert all(revalidated_hom(F_mor(phi)) for phi in built)
+
+
+# --- the readers' and functors' trusted builds ----------------------------------
+
+def rebuilt(t):
+    """t built again, node by node, through the checking constructors."""
+    kind = type(t)
+    if kind is Const:
+        return Const(t.value)
+    if kind is Var:
+        return Var(t.name)
+    if kind is Neg:
+        return Neg(rebuilt(t.arg))
+    return BinOp(t.op, rebuilt(t.left), rebuilt(t.right))
+
+
+def nodes(t):
+    """The nodes of t, root first."""
+    yield t
+    for child in ("arg", "left", "right"):
+        if hasattr(t, child):
+            yield from nodes(getattr(t, child))
+
+
+term_texts = st.recursive(
+    st.sampled_from(["0", "1", "x", "y", "if", "_z1"]),
+    lambda sub: st.one_of(
+        sub.map(lambda a: f"~{a}"),
+        st.tuples(sub, st.sampled_from(["(+)", "(.)", "/\\", "\\/", "->"]), sub).map(
+            lambda parts: "({} {} {})".format(*parts)),
+    ),
+    max_leaves=24,
+)
+# 100 high, the limit: a run of negations, a left chain, a right chain
+HIGH_TERMS = ["~" * 99 + "x", "x" + " -> x" * 99, "x -> (" * 99 + "x" + ")" * 99]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(term_texts, st.sampled_from(HIGH_TERMS)))
+def test_parsed_terms_are_their_rebuild(text):
+    """Each node parse_term builds equals, hashes and is as high as its rebuild;
+    it survives copies and pickles, and refuses assignment to every field."""
+    t = parse_term(text)
+    for node, like in zip(nodes(t), nodes(rebuilt(t)), strict=True):
+        assert type(node) is type(like) and node == like and hash(node) == hash(like)
+        assert node.height == like.height
+    for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert clone == t and hash(clone) == hash(t) and clone.height == t.height
+    for node in nodes(t):
+        for f in dataclasses.fields(node):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, f.name, getattr(node, f.name))
+
+
+READ_TEXTS = ["[]", "{}", "[a: L2, b: Linf, _c: L0003]", "{a:2, b:inf, c:007}", "L2 * Linf * L10"]
+FAMILIES = algebra_family((2, 3, 4, None)) + multiset_family()
+
+
+def test_read_and_dual_objects_are_their_rebuild():
+    """Objects that the readers, F_obj and H_obj build equal, hash and label like
+    their rebuild through the checking constructor, and survive pickles."""
+    objs = [parse_object(text) for text in READ_TEXTS]
+    objs += [parse_object(render(obj)) for obj in FAMILIES]
+    objs += [(H_obj if isinstance(obj, ProductAlgebra) else F_obj)(obj) for obj in FAMILIES]
+    for obj in objs:
+        pairs = obj.factors if isinstance(obj, ProductAlgebra) else obj.points
+        like = type(obj)(pairs)
+        assert obj == like and hash(obj) == hash(like) and obj.labels == like.labels
+        assert type(pairs) is tuple and all(type(pair) is tuple for pair in pairs)
+        clone = pickle.loads(pickle.dumps(obj))
+        assert clone == obj and hash(clone) == hash(obj)
+
+
+def test_readers_and_functors_build_nothing_through_post_init(monkeypatch):
+    """What keeps their speed: parse_term builds its nodes, and parse_algebra,
+    parse_multiset, F_obj and H_obj their objects, without the constructors' checks."""
+    A = make_algebra([("a", ChainSize(3)), ("b", LINF)])
+    X = EMultiset((("a", 2), ("b", INF)))
+    term = BinOp("join", BinOp("oplus", Neg(Var("x")), BinOp("implies", Var("y"), Const(1))),
+                 Neg(Neg(Const(0))))
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built through __post_init__")
+
+    for cls in (Const, Var, Neg, BinOp, LabelledPairs):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        Var("x")
+    assert parse_term("~x (+) (y -> 1) \\/ ~~0") == term
+    assert parse_algebra("[a: L3, b: Linf]") == A and parse_multiset("{a:2, b:inf}") == X
+    assert F_obj.__wrapped__(X) == A and H_obj.__wrapped__(A) == X
 
 
 # --- stored hashes survive copies and pickles ------------------------------------
