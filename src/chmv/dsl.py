@@ -107,13 +107,8 @@ def _below(digits: str, bound: int, message: str) -> int:
     return value
 
 
-# The value readers of _read, and _parse_coordinate of parse_env: each takes
-# one token, and raises ValueError if it is none.  Their values are immutable,
-# so they are cached per token; a token longer than _CACHED_LENGTH is read past
-# the cache (through __wrapped__), so a full cache holds 1024 short strings.
-_CACHED_LENGTH = 100
-
-
+# The value readers of _read: each takes one token, and raises ValueError if
+# it is none.  Their values are immutable, so they are cached per token.
 @lru_cache(maxsize=1024)
 def _chain(tok: str) -> ChainSize:
     if tok == "Linf":
@@ -143,18 +138,18 @@ def _read(text: str, value: Callable[[str], object], brackets: str, build: Calla
     The text is `open label: v, ... close`, with open and close the two
     brackets, or, if product and it does not start with open, `v * v * ...`,
     labelled x1, x2, ...; value, a reader under lru_cache, reads the token of
-    each v, past its cache in a text over _CACHED_LENGTH characters.  build
-    is the trusted builder of the class, which checks only that no label
-    repeats.  An error is raised at the token being read, as "unexpected end
-    of input" at the end, after any bad character of text.  A text read to
-    its end holds none: each of its tokens was read as a label, a value or a
+    each v, past its cache in a text over 100 characters.  build is the
+    trusted builder of the class, which checks only that no label repeats.
+    An error is raised at the token being read, as "unexpected end of input"
+    at the end, after any bad character of text.  A text read to its end
+    holds none: each of its tokens was read as a label, a value or a
     bracket, ":", "," or "*".  A label that repeats an earlier one is
     reported at its position.
     """
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # the end of the text
     open, close = brackets
-    if len(text) > _CACHED_LENGTH:
+    if len(text) > 100:  # a full cache keeps no token longer than 100 characters
         value = value.__wrapped__
     entries = []
     i = 0  # the token being read
@@ -238,7 +233,6 @@ _EXPONENT_RE = re.compile(
 )
 
 
-@lru_cache(maxsize=1024)
 def _parse_coordinate(text: str) -> Fraction:
     """The coordinate's value: w.d reads as wd/10^len(d), without d's trailing zeros.
 
@@ -288,8 +282,7 @@ def parse_env(text: str, A: ProductAlgebra) -> dict[str, Element]:
             body = body[1:-1]
         parts = [p.strip() for p in body.split(",")] if body else []
         try:
-            env[name] = Element(A, [_parse_coordinate(p) if len(p) <= _CACHED_LENGTH
-                                    else _parse_coordinate.__wrapped__(p) for p in parts])
+            env[name] = Element(A, [_parse_coordinate(p) for p in parts])
         except ValueError as exc:
             raise ValueError(f"binding {name!r}: {exc}") from None
     return env

@@ -71,9 +71,10 @@ class LabelledMap:
     to an admissible label of the codomain.  It names its pairs field, the
     class of its source and target (_object), its domain side (_sides), its
     error class and messages, and _images, the admissible images of one
-    domain label, which both validation and the choice lists read.  The constructor lists the pairs in the order of the
-    domain's labels, so == and hash are equality of maps; copies and pickles
-    rebuild through the constructor.
+    domain label, which both validation and the choice lists read.  The
+    constructor lists the pairs in the order of the domain's labels, so ==
+    and hash are equality of maps; copies and pickles rebuild through the
+    constructor.
     """
 
     def __post_init__(self) -> None:

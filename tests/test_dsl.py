@@ -35,12 +35,10 @@ from chmv.dsl import (
     _LEVEL_OF,
     _MULT_LIMIT,
     _TOKEN_RE,
-    _CACHED_LENGTH,
     _TOO_DEEP,
     _below,
     _check_characters,
     _compile,
-    _parse_coordinate,
     _repeated_label,
     _token_start,
     eval_term,
@@ -167,31 +165,6 @@ def test_a_coordinate_outside_the_grammar_is_named_so_however_long():
     with pytest.raises(ValueError) as err:
         parse_env(f"x=({text})", LINF_ALGEBRA)
     assert str(err.value) == f"binding 'x': coordinate {text!r} is not an integer, p/q or a decimal"
-
-
-def test_a_coordinate_token_is_read_once_then_cached():
-    first = _parse_coordinate("1/2")
-    assert first == Fraction(1, 2) and _parse_coordinate("1/2") is first
-    assert parse_env("x=(1/2); y=(1/2)", LINF_ALGEBRA)["y"].coords[0] is first
-
-
-def test_a_bad_coordinate_token_raises_each_time_it_is_read():
-    """lru_cache keeps no exception: the second read raises what the first raised."""
-    messages = []
-    for _ in range(2):
-        with pytest.raises(ValueError) as err:
-            _parse_coordinate("1/0")
-        messages.append(str(err.value))
-    assert messages == ["zero denominator in '1/0'"] * 2
-
-
-@pytest.mark.parametrize("text", ["0" * 4300 + "1/2", "0.5" + "0" * 100, "+" + "0" * 99 + "2/4"])
-def test_a_long_coordinate_token_is_read_past_the_cache(text):
-    """CI's 4,300-zero padded coordinate among them: a full cache holds only short tokens."""
-    assert len(text) > _CACHED_LENGTH
-    before = _parse_coordinate.cache_info().currsize
-    assert _reading(text) == Fraction(1, 2)
-    assert _parse_coordinate.cache_info().currsize == before
 
 
 TOO_LONG_MULT = "multiplicity must be below 10^4300 - 1"
