@@ -182,17 +182,21 @@ def _same_algebra(f: Element, g: Element) -> None:
 
 def pointwise_op(kind: str, f: Element, g: Element | None = None) -> Element:
     """mv_op at each coordinate; results stay in the algebra by chain closure."""
-    if kind == "neg":
-        if g is not None:
-            raise AlgebraError("neg takes a single operand")
-        return _trusted_element(f.algebra, tuple(map(mv_op, itertools.repeat(kind), f.coords)))
-    if kind not in MV_KERNELS:
-        raise AlgebraError(f"unknown operation {kind!r}")
-    if g is None:
-        raise AlgebraError(f"{kind} needs two operands")
-    _same_algebra(f, g)
-    coords = map(mv_op, itertools.repeat(kind), f.coords, g.coords)
-    return _trusted_element(f.algebra, tuple(coords))
+    try:
+        if kind == "neg":
+            if g is not None:
+                raise AlgebraError("neg takes a single operand")
+            return _trusted_element(f.algebra, tuple(map(mv_op, itertools.repeat(kind), f.coords)))
+        if kind not in MV_KERNELS:
+            raise AlgebraError(f"unknown operation {kind!r}")
+        if g is None:
+            raise AlgebraError(f"{kind} needs two operands")
+        _same_algebra(f, g)
+        coords = map(mv_op, itertools.repeat(kind), f.coords, g.coords)
+        return _trusted_element(f.algebra, tuple(coords))
+    except AttributeError:
+        bad = f if not isinstance(f, Element) else g
+        raise AlgebraError(f"{kind} operand must be an Element, not {bad!r}") from None
 
 
 def leq_elem(f: Element, g: Element) -> bool:

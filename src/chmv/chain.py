@@ -125,10 +125,15 @@ def check_member(v: Fraction, c: ChainSize) -> None:
     [0, 1] when 0 <= numerator <= denominator, and on the grid of L_n when
     its denominator divides n - 1.
     """
-    if v.numerator < 0 or v.numerator > v.denominator:
-        raise OutOfRangeError(f"{v} is outside [0, 1]")
-    if c.is_finite and (c.n - 1) % v.denominator:
-        raise NotInChainError(f"{v} is not a multiple of 1/{c.n - 1}")
+    try:
+        if v.numerator < 0 or v.numerator > v.denominator:
+            raise OutOfRangeError(f"{v} is outside [0, 1]")
+        if c.is_finite and (c.n - 1) % v.denominator:
+            raise NotInChainError(f"{v} is not a multiple of 1/{c.n - 1}")
+    except AttributeError:
+        if not isinstance(c, ChainSize):
+            raise ChainError(f"chain must be a ChainSize, not {c!r}") from None
+        raise ChainError(f"chain value must be a Fraction, not {v!r}") from None
 
 
 # The one kernel table, behind mv_op, pointwise_op and eval_term.  A kernel maps the

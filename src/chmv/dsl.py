@@ -284,6 +284,8 @@ def parse_env(text: str, A: ProductAlgebra) -> dict[str, Element]:
         try:
             env[name] = Element(A, [_parse_coordinate(p) for p in parts])
         except ValueError as exc:
+            if not isinstance(A, ProductAlgebra):  # the algebra is at fault, not the binding
+                raise
             raise ValueError(f"binding {name!r}: {exc}") from None
     return env
 
@@ -523,15 +525,17 @@ def eval_term(t: Term, env: dict[str, Element], A: ProductAlgebra) -> Element:
         raise TypeError(f"not a term: {t!r}")
     try:
         bound = {x: e.coords for x, e in env.items() if e.algebra is A or e.algebra == A}
+        dens = tuple([
+            c.n - 1 if c.n is not None else math.lcm(*[v[k].denominator for v in bound.values()])
+            for k, (_, c) in enumerate(A.factors)
+        ])
     except AttributeError:
         for x, e in env.items():
             if not isinstance(e, Element):
                 raise TypeError(f"binding for {x!r} is not an Element: {e!r}") from None
+        if not isinstance(A, ProductAlgebra):
+            raise TypeError(f"algebra must be a ProductAlgebra, not {A!r}") from None
         raise
-    dens = tuple([
-        c.n - 1 if c.n is not None else math.lcm(*[v[k].denominator for v in bound.values()])
-        for k, (_, c) in enumerate(A.factors)
-    ])
     nums = {x: tuple([v.numerator * (d // v.denominator) for v, d in zip(c, dens)])
             for x, c in bound.items()}
 

@@ -93,17 +93,28 @@ def projection(A: ProductAlgebra, label: str) -> ContinuousHom:
 
 
 def apply_hom(h: ContinuousHom, f: Element) -> Element:
-    if f.algebra is not h.source and f.algebra != h.source:
-        raise AlgebraMismatchError("element does not belong to the hom's source")
-    return _trusted_element(h.target, h.image_getter(f.coords))
+    try:
+        if f.algebra is not h.source and f.algebra != h.source:
+            raise AlgebraMismatchError("element does not belong to the hom's source")
+        return _trusted_element(h.target, h.image_getter(f.coords))
+    except AttributeError:
+        if not isinstance(h, ContinuousHom):
+            raise _not_a_hom(h) from None
+        raise HomError(f"element must be an Element, not {f!r}") from None
 
 
 def compose_homs(g: ContinuousHom, h: ContinuousHom) -> ContinuousHom:
     """h then g on elements; index maps compose the other way around."""
+    if not (isinstance(g, ContinuousHom) and isinstance(h, ContinuousHom)):
+        raise _not_a_hom(h if isinstance(g, ContinuousHom) else g)
     if h.target != g.source:
         raise HomError("target of the first hom differs from source of the second")
     h_map = dict(h.index_map)
     return _trusted_hom(h.source, g.target, tuple([(z, h_map[x]) for z, x in g.index_map]))
+
+
+def _not_a_hom(value) -> HomError:
+    return HomError(f"hom must be a ContinuousHom, not {value!r}")
 
 
 # --- the two functors ------------------------------------------------------
@@ -111,6 +122,8 @@ def compose_homs(g: ContinuousHom, h: ContinuousHom) -> ContinuousHom:
 @lru_cache(maxsize=FUNCTOR_CACHE_SIZE)
 def F_obj(X: EMultiset) -> ProductAlgebra:
     """Multiset point of multiplicity s becomes a chain factor of size s + 1."""
+    if not isinstance(X, EMultiset):
+        raise HomError(f"multiset must be an EMultiset, not {X!r}")
     return ProductAlgebra._trusted(
         [(lbl, LINF if m == INF else ChainSize(m + 1)) for lbl, m in X.points])
 
@@ -123,6 +136,8 @@ def F_mor(phi: EMMorphism) -> ContinuousHom:
 @lru_cache(maxsize=FUNCTOR_CACHE_SIZE)
 def H_obj(A: ProductAlgebra) -> EMultiset:
     """A chain factor of size n becomes a point of multiplicity n - 1."""
+    if not isinstance(A, ProductAlgebra):
+        raise HomError(f"algebra must be a ProductAlgebra, not {A!r}")
     return EMultiset._trusted(
         [(lbl, INF if not c.is_finite else c.n - 1) for lbl, c in A.factors])
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,16 +29,31 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, cond: bool, msg: Callable[[], str]) -> None:
-        """Count one check; only a failed check calls msg to describe its inputs."""
+    def check(self, ok: bool, claim: str, *inputs) -> None:
+        """Count one check of a claim over its inputs.
+
+        claim has one {} per input.  Only a failed check formats it, with each
+        input as _describe writes it, so a passing check never describes its
+        inputs.
+        """
         self.checks += 1
-        if not cond:
-            self.failures.append(msg())
+        if not ok:
+            self.failures.append(claim.format(*map(_describe, inputs)))
 
     def line(self) -> str:
         if self.ok:
             return f"PASS {self.name} ({self.checks} checks)"
         return f"FAIL {self.name} ({len(self.failures)}/{self.checks} checks failed): {self.failures[0]}"
+
+
+def _describe(value):
+    """How a check input reads in a failure: algebras, multisets and terms as DSL
+    text, homs and morphisms as the dict of their pairs, anything else as itself."""
+    if isinstance(value, (alg.ProductAlgebra, ms.EMultiset, dsl.Term)):
+        return dsl.render(value)
+    if isinstance(value, ms.LabelledMap):
+        return dict(getattr(value, value._pairs))
+    return value
 
 
 # --- shared families ---------------------------------------------------------
@@ -85,18 +99,18 @@ def suite_mv_axioms(max_n=7, rational_pairs=1000, seed=0) -> SuiteResult:
     rec = SuiteResult("mv-axioms")
 
     def axioms(a: Fraction, b: Fraction, c: ChainSize, where: str) -> None:
-        rec.check(mv_op("oplus", a, b) == mv_op("oplus", b, a), lambda: f"commutativity {where}")
-        rec.check(mv_op("neg", mv_op("neg", a)) == a, lambda: f"involution {where}")
-        rec.check(mv_op("oplus", a, _ZERO) == a, lambda: f"zero identity {where}")
-        rec.check(mv_op("oplus", a, _ONE) == _ONE, lambda: f"one absorbs {where}")
+        rec.check(mv_op("oplus", a, b) == mv_op("oplus", b, a), "commutativity {}", where)
+        rec.check(mv_op("neg", mv_op("neg", a)) == a, "involution {}", where)
+        rec.check(mv_op("oplus", a, _ZERO) == a, "zero identity {}", where)
+        rec.check(mv_op("oplus", a, _ONE) == _ONE, "one absorbs {}", where)
         # both sides are a \/ b by definition, and a /\ b is its De Morgan dual
         lhs = mv_op("oplus", mv_op("neg", mv_op("oplus", mv_op("neg", a), b)), b)
         rhs = mv_op("oplus", mv_op("neg", mv_op("oplus", mv_op("neg", b), a)), a)
         meet = mv_op("neg", mv_op("join", mv_op("neg", a), mv_op("neg", b)))
         ok = lhs == rhs == mv_op("join", a, b) and mv_op("meet", a, b) == meet
-        rec.check(ok, lambda: f"MV axiom, join and meet {where}")
+        rec.check(ok, "MV axiom, join and meet {}", where)
         for kind in ("oplus", "odot", "meet", "join"):
-            rec.check(_in_chain(mv_op(kind, a, b), c), lambda: f"closure {kind} {where}")
+            rec.check(_in_chain(mv_op(kind, a, b), c), "closure {} {}", kind, where)
 
     for n in range(2, max_n + 1):
         c = ChainSize(n)
@@ -112,11 +126,11 @@ def suite_mv_axioms(max_n=7, rational_pairs=1000, seed=0) -> SuiteResult:
 
     sizes = [ChainSize(n) for n in range(2, max_n + 1)] + [LINF]
     for c1 in sizes:
-        rec.check(chain_subset(c1, c1), lambda: f"subset reflexive {c1}")
-        rec.check(chain_subset(ChainSize(2), c1), lambda: f"L2 inside {c1}")
+        rec.check(chain_subset(c1, c1), "subset reflexive {}", c1)
+        rec.check(chain_subset(ChainSize(2), c1), "L2 inside {}", c1)
         for c2, c3 in itertools.product(sizes, repeat=2):
             if chain_subset(c1, c2) and chain_subset(c2, c3):
-                rec.check(chain_subset(c1, c3), lambda: f"subset transitive {c1},{c2},{c3}")
+                rec.check(chain_subset(c1, c3), "subset transitive {},{},{}", c1, c2, c3)
     return rec
 
 
@@ -132,36 +146,26 @@ def suite_ideals(max_factors=3) -> SuiteResult:
             for r in range(len(A.labels) + 1)
             for D in itertools.combinations(A.labels, r)
         }
-        rec.check(
-            found == supports,
-            lambda: f"ideals of {dsl.render(A)} are the support ideals",
-        )
+        rec.check(found == supports, "ideals of {} are the support ideals", A)
         all_elems = frozenset(alg.enumerate_elements(A))
         proper = [I for I in found if I != all_elems]
         maximal = {
             I for I in proper if not any(I < J for J in proper)
         }
         expected = {alg.ideal_elements(M) for M in alg.maximal_ideals(A)}
-        rec.check(maximal == expected, lambda: f"maximal ideals of {dsl.render(A)}")
+        rec.check(maximal == expected, "maximal ideals of {}", A)
         for M in alg.maximal_ideals(A):  # Proposition 2.1, against the brute-force ideals
             report, elems = alg.prop21_report(M), alg.ideal_elements(M)
             gen, at = report.generator, A.positions[report.point]
             least = frozenset.intersection(*[I for I in found if gen in I])
-            rec.check(
-                least == elems and alg.principal_ideal(gen) == M,
-                lambda: f"generator witness at {sorted(M.free)} in {dsl.render(A)}",
-            )
-            rec.check(
-                frozenset(f for f in all_elems if f.coords[at] == 0) == elems,
-                lambda: f"kernel of the projection at {report.point} in {dsl.render(A)}",
-            )
+            rec.check(least == elems and alg.principal_ideal(gen) == M,
+                      "generator witness at {} in {}", sorted(M.free), A)
+            rec.check(frozenset(f for f in all_elems if f.coords[at] == 0) == elems,
+                      "kernel of the projection at {} in {}", report.point, A)
             top = alg.make_element(A, map(max, zip(*[f.coords for f in elems])))
-            rec.check(
-                top == alg.ideal_sup(M) and top in elems
-                and alg.pointwise_op("oplus", top, top) == top
-                and alg.boolean_center_contains(top),
-                lambda: f"sup of {sorted(M.free)} in center",
-            )
+            rec.check(top == alg.ideal_sup(M) and top in elems
+                      and alg.pointwise_op("oplus", top, top) == top
+                      and alg.boolean_center_contains(top), "sup of {} in center", sorted(M.free))
     return rec
 
 
@@ -179,11 +183,8 @@ def suite_hom_oracle(bound=10 ** 6) -> SuiteResult:
             tuple([dual.apply_hom(h, f) for f in elems])
             for h in dual.enumerate_continuous_homs(A, B)
         }
-        rec.check(
-            brute == induced,
-            lambda: f"homs {dsl.render(A)} -> {dsl.render(B)}: "
-            f"oracle {len(brute)} vs index maps {len(induced)}",
-        )
+        rec.check(brute == induced,
+                  "homs {} -> {}: oracle {} vs index maps {}", A, B, len(brute), len(induced))
     return rec
 
 
@@ -195,42 +196,28 @@ def suite_duality(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3) -> SuiteResult:
 
     for X in family:
         A = dual.F_obj(X)
-        rec.check(
-            dual.F_mor(ms.identity_morphism(X)) == dual.identity_hom(A),
-            lambda: f"F preserves identity of {dsl.render(X)}",
-        )
-        rec.check(
-            dual.H_mor(dual.identity_hom(A)) == ms.identity_morphism(dual.H_obj(A)),
-            lambda: f"H preserves identity of {dsl.render(X)}",
-        )
+        rec.check(dual.F_mor(ms.identity_morphism(X)) == dual.identity_hom(A),
+                  "F preserves identity of {}", X)
+        rec.check(dual.H_mor(dual.identity_hom(A)) == ms.identity_morphism(dual.H_obj(A)),
+                  "H preserves identity of {}", X)
 
     for X, Y in itertools.product(family, repeat=2):
         morphs = list(ms.enumerate_morphisms(X, Y))
-        rec.check(
-            len(morphs) == ms.morphism_count(X, Y),
-            lambda: f"hom count product formula {dsl.render(X)} -> {dsl.render(Y)}",
-        )
+        rec.check(len(morphs) == ms.morphism_count(X, Y),
+                  "hom count product formula {} -> {}", X, Y)
         hom_maps = {
             h.index_map
             for h in dual.enumerate_continuous_homs(dual.F_obj(Y), dual.F_obj(X))
         }
         f_homs = [dual.F_mor(phi) for phi in morphs]
         f_images = {h.index_map for h in f_homs}
-        rec.check(
-            len(f_images) == len(morphs) and f_images == hom_maps,
-            lambda: f"hom-set bijection {dsl.render(X)} vs {dsl.render(Y)}",
-        )
+        rec.check(len(f_images) == len(morphs) and f_images == hom_maps,
+                  "hom-set bijection {} vs {}", X, Y)
         for phi, f_phi in zip(morphs, f_homs):
-            rec.check(
-                dual.check_naturality_eq1(phi),
-                lambda: f"unit naturality at {dict(phi.mapping)} : "
-                f"{dsl.render(X)} -> {dsl.render(Y)}",
-            )
-            rec.check(
-                dual.check_naturality_eq2(f_phi),
-                lambda: f"counit naturality at {dict(phi.mapping)} : "
-                f"{dsl.render(X)} -> {dsl.render(Y)}",
-            )
+            rec.check(dual.check_naturality_eq1(phi),
+                      "unit naturality at {} : {} -> {}", phi, X, Y)
+            rec.check(dual.check_naturality_eq2(f_phi),
+                      "counit naturality at {} : {} -> {}", phi, X, Y)
 
     comp_family = multiset_family(2, (1, 2, 3, ms.INF))
     for X, Y, Z in itertools.product(comp_family, repeat=3):
@@ -239,11 +226,9 @@ def suite_duality(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3) -> SuiteResult:
                 f_phi, f_psi = dual.F_mor(phi), dual.F_mor(psi)
                 lhs = dual.F_mor(ms.compose_morphisms(psi, phi))
                 rhs = dual.compose_homs(f_phi, f_psi)
-                rec.check(lhs == rhs, lambda: "F contravariant on a composable pair")
+                rec.check(lhs == rhs, "F contravariant on a composable pair")
                 back = ms.compose_morphisms(dual.H_mor(f_psi), dual.H_mor(f_phi))
-                rec.check(
-                    dual.H_mor(rhs) == back, lambda: "H contravariant on a composable pair"
-                )
+                rec.check(dual.H_mor(rhs) == back, "H contravariant on a composable pair")
     return rec
 
 
@@ -259,23 +244,14 @@ def suite_eta_epsilon(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3, seed=0) -> Su
         e_map = dict(e.mapping)
         round_trip = dual.H_obj(dual.F_obj(X))
         images = set(e_map.values())
-        rec.check(
-            len(images) == len(X.labels) and images == set(round_trip.labels),
-            lambda: f"eta bijective on {dsl.render(X)}",
-        )
-        rec.check(
-            all(round_trip.mults[e_map[x]] == X.mults[x] for x in X.labels),
-            lambda: f"eta multiplicity-preserving on {dsl.render(X)}",
-        )
-        rec.check(
-            ms.profile_of(round_trip) == ms.profile_of(X),
-            lambda: f"profile equality for {dsl.render(X)}",
-        )
+        rec.check(len(images) == len(X.labels) and images == set(round_trip.labels),
+                  "eta bijective on {}", X)
+        rec.check(all(round_trip.mults[e_map[x]] == X.mults[x] for x in X.labels),
+                  "eta multiplicity-preserving on {}", X)
+        rec.check(ms.profile_of(round_trip) == ms.profile_of(X), "profile equality for {}", X)
         inverse = ms.EMMorphism(round_trip, X, tuple((y, y) for y in round_trip.labels))
-        rec.check(
-            ms.compose_morphisms(inverse, e) == ms.identity_morphism(X),
-            lambda: f"eta inverse on {dsl.render(X)}",
-        )
+        rec.check(ms.compose_morphisms(inverse, e) == ms.identity_morphism(X),
+                  "eta inverse on {}", X)
 
         A = dual.F_obj(X)
         eps = dual.epsilon(A)
@@ -286,7 +262,7 @@ def suite_eta_epsilon(mults=(1, 2, 3, 4, 6, ms.INF), max_points=3, seed=0) -> Su
         ok = all(
             tuple(map(dual.apply_hom(eps, f).coord, A.labels)) == f.coords for f in elems
         )
-        rec.check(ok, lambda: f"epsilon coordinatewise on {dsl.render(A)}")
+        rec.check(ok, "epsilon coordinatewise on {}", A)
     return rec
 
 
@@ -300,11 +276,8 @@ def suite_surjectivity(sizes=(2, 3, 4, 6)) -> SuiteResult:
         targets = {e.coords for e in elements[B]}
         for h in dual.enumerate_continuous_homs(C, B):
             image = {dual.apply_hom(h, f).coords for f in elements[C]}
-            rec.check(
-                st.is_surjective_hom(h) == (image == targets),
-                lambda: f"surjectivity of {dict(h.index_map)} : "
-                f"{dsl.render(C)} -> {dsl.render(B)}",
-            )
+            rec.check(st.is_surjective_hom(h) == (image == targets),
+                      "surjectivity of {} : {} -> {}", h, C, B)
     return rec
 
 
@@ -336,26 +309,21 @@ def suite_lifting(instances=100, seed=0) -> SuiteResult:
 
         lifted = st.lift(phi, psi, "a1")
         composed = dual.compose_homs(psi, lifted)
-        rec.check(composed == phi, lambda: f"lift index maps at instance {i}")
+        rec.check(composed == phi, "lift index maps at instance {}", i)
         if A.all_finite and C.all_finite and A.size <= 512:
             ok = all(
                 dual.apply_hom(psi, dual.apply_hom(lifted, f)) == dual.apply_hom(phi, f)
                 for f in alg.enumerate_elements(A)
             )
-            rec.check(ok, lambda: f"lift element check at instance {i}")
+            rec.check(ok, "lift element check at instance {}", i)
 
     l2 = alg.make_algebra([("x1", ChainSize(2))])
     for A in algebra_family((3, 4, 6, None), max_factors=3, include_empty=True):
-        rec.check(
-            dual.continuous_hom_count(A, l2) == 0,
-            lambda: f"no hom to L2 from {dsl.render(A)}",
-        )
+        rec.check(dual.continuous_hom_count(A, l2) == 0, "no hom to L2 from {}", A)
     for A in algebra_family((2, 3, None), max_factors=2, include_empty=False):
         has_l2 = any(c == ChainSize(2) for _, c in A.factors)
-        rec.check(
-            (dual.continuous_hom_count(A, l2) > 0) == has_l2,
-            lambda: f"hom to L2 exists iff L2 factor in {dsl.render(A)}",
-        )
+        rec.check((dual.continuous_hom_count(A, l2) > 0) == has_l2,
+                  "hom to L2 exists iff L2 factor in {}", A)
     return rec
 
 
@@ -373,28 +341,24 @@ def suite_separation(max_points=4) -> SuiteResult:
                     accepted = True
                 except st.StructureError:
                     accepted = False
-                rec.check(not accepted, lambda: f"separate accepted {f} <= {g}")
+                rec.check(not accepted, "separate accepted {} <= {}", f, g)
             else:
                 h = st.separate(f, g)
-                rec.check(
-                    dual.apply_hom(h, f).coords == (_ONE,)
-                    and dual.apply_hom(h, g).coords == (_ZERO,),
-                    lambda: f"separation of {f}, {g} in 2^{k}",
-                )
+                rec.check(dual.apply_hom(h, f).coords == (_ONE,)
+                          and dual.apply_hom(h, g).coords == (_ZERO,),
+                          "separation of {}, {} in 2^{}", f, g, k)
 
     # in L3 the element 1/2 exceeds 0, yet no continuous hom moves it to 1
     l3 = alg.make_algebra([("x1", ChainSize(3))])
     half = alg.make_element(l3, [Fraction(1, 2)])
-    rec.check(not alg.leq_elem(half, alg.zero(l3)), lambda: "1/2 is not below 0 in L3")
+    rec.check(not alg.leq_elem(half, alg.zero(l3)), "1/2 is not below 0 in L3")
     targets = [
         alg.make_algebra([("y1", ChainSize(n))]) for n in (3, 5, 7)
     ] + [alg.make_algebra([("y1", LINF)])]
     for T in targets:
         for h in dual.enumerate_continuous_homs(l3, T):
-            rec.check(
-                all(v != _ONE for v in dual.apply_hom(h, half).coords),
-                lambda: f"no hom L3 -> {dsl.render(T)} sends 1/2 to 1",
-            )
+            rec.check(all(v != _ONE for v in dual.apply_hom(h, half).coords),
+                      "no hom L3 -> {} sends 1/2 to 1", T)
     return rec
 
 
@@ -409,11 +373,9 @@ def suite_predicates() -> SuiteResult:
         entries = {m: c for m, c in zip(mults, assignment) if c is not None}
         P = ms.make_profile(entries)
         if st.is_extremally_disconnected(P):
-            rec.check(st.is_stone(P), lambda: f"extremally disconnected implies Stone: {entries}")
+            rec.check(st.is_stone(P), "extremally disconnected implies Stone: {}", entries)
         if st.is_stone(P):
-            rec.check(
-                st.is_hyperarchimedean(P), lambda: f"Stone implies hyperarchimedean: {entries}"
-            )
+            rec.check(st.is_hyperarchimedean(P), "Stone implies hyperarchimedean: {}", entries)
         # concrete stand-in: an omega fiber contributes three sample points
         points = []
         it = iter(labels)
@@ -421,14 +383,10 @@ def suite_predicates() -> SuiteResult:
             for _ in range(3 if c == ms.INF else int(c)):
                 points.append((next(it), m))
         X = ms.EMultiset(points)
-        rec.check(
-            st.is_projective(P) == st.injective_in_EM(X),
-            lambda: f"projective iff dual injective: {entries}",
-        )
-        rec.check(
-            st.is_projective(ms.profile_of(X)) == st.injective_in_EM(X),
-            lambda: f"profile route agrees: {entries}",
-        )
+        rec.check(st.is_projective(P) == st.injective_in_EM(X),
+                  "projective iff dual injective: {}", entries)
+        rec.check(st.is_projective(ms.profile_of(X)) == st.injective_in_EM(X),
+                  "profile route agrees: {}", entries)
     return rec
 
 
@@ -503,10 +461,8 @@ def suite_dsl(max_size=36) -> SuiteResult:
         parse = _PARSERS[kind]
         value = parse(text)
         rendered = dsl.render(value)
-        rec.check(parse(rendered) == value, lambda: f"round trip for {text!r}")
-        rec.check(
-            dsl.render(parse(rendered)) == rendered, lambda: f"render fixpoint for {text!r}"
-        )
+        rec.check(parse(rendered) == value, "round trip for {!r}", text)
+        rec.check(dsl.render(parse(rendered)) == rendered, "render fixpoint for {!r}", text)
 
     taut = dsl.parse_term("~x (+) x")
     contra = dsl.parse_term("x (.) ~x")
@@ -515,11 +471,9 @@ def suite_dsl(max_size=36) -> SuiteResult:
         one, nil = alg.unit(A), alg.zero(A)
         for e in alg.enumerate_elements(A):
             env = {"x": e}
-            rec.check(
-                dsl.eval_term(taut, env, A) == one, lambda: f"~x(+)x at {e} in {dsl.render(A)}"
-            )
-            rec.check(dsl.eval_term(contra, env, A) == nil, lambda: f"x(.)~x at {e}")
-            rec.check(dsl.eval_term(refl, env, A) == one, lambda: f"x->x at {e}")
+            rec.check(dsl.eval_term(taut, env, A) == one, "~x(+)x at {} in {}", e, A)
+            rec.check(dsl.eval_term(contra, env, A) == nil, "x(.)~x at {}", e)
+            rec.check(dsl.eval_term(refl, env, A) == one, "x->x at {}", e)
 
     # evaluation commutes with projections
     A = dsl.parse_algebra("L2 * L3")
@@ -534,10 +488,8 @@ def suite_dsl(max_size=36) -> SuiteResult:
                 {"x": dual.apply_hom(p, f), "y": dual.apply_hom(p, g)},
                 chain_alg,
             )
-            rec.check(
-                dual.apply_hom(p, value) == projected,
-                lambda: f"projection commutes at {lbl} for {f}, {g}",
-            )
+            rec.check(dual.apply_hom(p, value) == projected,
+                      "projection commutes at {} for {}, {}", lbl, f, g)
     return rec
 
 

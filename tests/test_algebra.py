@@ -119,6 +119,22 @@ def test_pointwise_algebra_mismatch():
         pointwise_op("oplus", zero(L2xL3), zero(L3xL2))
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: pointwise_op("neg", zero(L2xL3), zero(L2xL3)), AlgebraError,
+     "neg takes a single operand"),
+    (lambda: pointwise_op("xor", zero(L2xL3), zero(L2xL3)), AlgebraError,
+     "unknown operation 'xor'"),
+    (lambda: pointwise_op("odot", zero(L2xL3)), AlgebraError, "odot needs two operands"),
+    (lambda: SupportIdeal(L2xL3, {"b", "z"}), UnknownLabelError, "labels ['z'] not in the algebra"),
+    (lambda: ideal_membership(zero(L2xL3), SupportIdeal(L3xL2, ())), AlgebraMismatchError,
+     "element and ideal belong to different algebras"),
+])
+def test_operations_and_ideals_refuse_what_they_cannot_read(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_leq_elem():
     assert leq_elem(zero(L2xL3), unit(L2xL3))
     f = make_element(L3xL2, [Fraction(1, 2), 0])

@@ -44,6 +44,11 @@ def test_chain_size_requires_two_elements():
         ChainSize(1)
 
 
+def test_the_infinite_chain_lists_no_values():
+    with pytest.raises(ChainError, match="^cannot enumerate the infinite chain$"):
+        LINF.values()
+
+
 def test_oplus_truncates():
     half = Fraction(1, 2)
     assert mv_op("oplus", half, half) == 1

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import io
 import itertools
 import json
@@ -435,6 +436,14 @@ def test_file_input(capsys, tmp_path):
     code, doc, _ = run_json(capsys, "dual", f"@{spec}")
     assert code == EXIT_OK
     assert doc["payload"]["dual"] == "{x1:1, x2:2}"
+
+
+def test_an_internal_error_exits_2_and_names_it(capsys, monkeypatch):
+    def breach(args):
+        raise RuntimeError("invariant broken")
+
+    monkeypatch.setitem(cli.COMMANDS, "dual", dataclasses.replace(cli.COMMANDS["dual"], run=breach))
+    assert run(capsys, "dual", "L2") == (cli.EXIT_INTERNAL, "", "internal error: invariant broken\n")
 
 
 def test_missing_file_is_domain_error(capsys, tmp_path):

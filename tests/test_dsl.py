@@ -962,6 +962,7 @@ UNBUILDABLE_NODES = [
      "BinOp.op must be a key of MV_KERNELS, not 'xor'"),
     ("BinOp(['oplus'], Var(name='x'), Var(name='y'))",
      "BinOp.op must be a key of MV_KERNELS, not ['oplus']"),
+    ("BinOp('oplus', 'x', Var(name='y'))", "BinOp.left must be a Term, not 'x'"),
     ("BinOp('oplus', Var(name='x'), 'y')", "BinOp.right must be a Term, not 'y'"),
     ("Term()", "Term is abstract: build a Const, Var, Neg or BinOp"),
     ("Neg(Term())", "Term is abstract: build a Const, Var, Neg or BinOp"),

@@ -7,6 +7,7 @@ from chmv.multiset import (
     INF,
     MorphismError,
     MultisetError,
+    Profile,
     compose_morphisms,
     enumerate_morphisms,
     identity_morphism,
@@ -39,6 +40,11 @@ def test_bool_multiplicity_rejected():
     for flag in (True, False):
         with pytest.raises(MultisetError):
             EMultiset((("a", flag),))
+
+
+def test_profile_lists_each_multiplicity_once():
+    with pytest.raises(MultisetError, match="^profile lists a multiplicity twice$"):
+        Profile(((2, 1), (3, 1), (2, INF)))
 
 
 def test_bool_cardinality_rejected():

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from chmv.algebra import enumerate_elements, leq_elem, make_algebra, make_element
 from chmv.chain import ChainSize, LINF
-from chmv.duality import apply_hom, compose_homs, enumerate_continuous_homs, make_hom
+from chmv.duality import HomError, apply_hom, compose_homs, enumerate_continuous_homs, make_hom
 from chmv.multiset import EMultiset, INF, make_profile, profile_of
 from chmv.structure import (
     StructureError,
@@ -166,6 +166,14 @@ def test_lift_requires_l2_factor():
     phi = make_hom(A, B, {"y": "a1"})
     with pytest.raises(StructureError):
         lift(phi, psi, "a2")
+
+
+def test_lift_requires_a_shared_target():
+    A = make_algebra([("a1", ChainSize(2))])
+    phi = make_hom(A, make_algebra([("y", ChainSize(2))]), {"y": "a1"})
+    psi = make_hom(A, make_algebra([("y", ChainSize(3))]), {"y": "a1"})
+    with pytest.raises(HomError, match="^phi and psi must share their target algebra$"):
+        lift(phi, psi, "a1")
 
 
 def test_lift_requires_surjection():

@@ -40,7 +40,7 @@ from chmv.algebra import (
     unit,
     zero,
 )
-from chmv.chain import MV_KERNELS, ChainError, ChainSize, LabelledPairs, LINF, mv_op
+from chmv.chain import MV_KERNELS, ChainError, ChainSize, LabelledPairs, LINF, check_member, mv_op
 from chmv.dsl import (
     BinOp,
     Const,
@@ -49,6 +49,7 @@ from chmv.dsl import (
     Var,
     eval_term,
     parse_algebra,
+    parse_env,
     parse_multiset,
     parse_object,
     parse_term,
@@ -233,6 +234,22 @@ WRONG_KINDS = [
      "binding for 'x' is not an Element: 3"),
     (lambda: eval_term(parse_term("x"), {"x": unit(L3), "y": None}, L3), TypeError,
      "binding for 'y' is not an Element: None"),
+    (lambda: eval_term(parse_term("x"), {}, "L3"), TypeError,
+     "algebra must be a ProductAlgebra, not 'L3'"),
+    (lambda: parse_env("x=(0)", None), AlgebraError, "algebra must be a ProductAlgebra, not None"),
+    (lambda: apply_hom(identity_hom(L3), "x"), HomError, "element must be an Element, not 'x'"),
+    (lambda: apply_hom(None, unit(L3)), HomError, "hom must be a ContinuousHom, not None"),
+    (lambda: compose_homs(None, identity_hom(L3)), HomError,
+     "hom must be a ContinuousHom, not None"),
+    (lambda: compose_homs(identity_hom(L3), "h"), HomError, "hom must be a ContinuousHom, not 'h'"),
+    (lambda: pointwise_op("neg", None), AlgebraError, "neg operand must be an Element, not None"),
+    (lambda: pointwise_op("join", unit(L3), 1), AlgebraError,
+     "join operand must be an Element, not 1"),
+    (lambda: check_member(0.5, ChainSize(3)), ChainError,
+     "chain value must be a Fraction, not 0.5"),
+    (lambda: check_member(Fraction(1, 2), "L3"), ChainError, "chain must be a ChainSize, not 'L3'"),
+    (lambda: F_obj("x"), HomError, "multiset must be an EMultiset, not 'x'"),
+    (lambda: H_obj("x"), HomError, "algebra must be a ProductAlgebra, not 'x'"),
 ]
 
 

@@ -1,8 +1,10 @@
 """Failure records of the verification suites.
 
-A check builds its message only when it fails, so these tests make one
-check fail on purpose and read back the record it leaves.
+A check describes its inputs only when it fails, so these tests make checks
+fail on purpose and read back the records they leave.
 """
+
+import string
 
 import pytest
 
@@ -11,14 +13,30 @@ from chmv.multiset import EMMorphism
 
 
 def test_a_passing_check_never_builds_its_message():
-    def unbuildable() -> str:
-        raise AssertionError("message built for a passing check")
+    class Undescribable:
+        def __format__(self, spec):
+            raise AssertionError("input described for a passing check")
 
     rec = verify.SuiteResult("recorder")
-    rec.check(True, unbuildable)
-    rec.check(False, lambda: "the failing one")
+    rec.check(True, "the passing one at {}", Undescribable())
+    rec.check(False, "the failing one at {} in {}", 3, dsl.parse_algebra("[a: L2]"))
     assert rec.checks == 2
-    assert rec.failures == ["the failing one"]
+    assert rec.failures == ["the failing one at 3 in [a: L2]"]
+
+
+@pytest.mark.parametrize("fn_name", verify.SUITES)
+def test_every_check_describes_its_inputs_when_it_fails(monkeypatch, fn_name):
+    expected_checks = verify.run_suite(fn_name, "small").checks
+    check = verify.SuiteResult.check
+
+    def failed(rec, ok, claim, *inputs):  # a template takes exactly its inputs
+        fields = [name for _, name, _, _ in string.Formatter().parse(claim) if name is not None]
+        assert len(fields) == len(inputs), claim
+        check(rec, False, claim, *inputs)
+
+    monkeypatch.setattr(verify.SuiteResult, "check", failed)
+    result = verify.run_suite(fn_name, "small")
+    assert result.checks == len(result.failures) == expected_checks
 
 
 def test_counit_failure_names_its_morphism_and_both_multisets(monkeypatch):
